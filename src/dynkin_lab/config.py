@@ -196,6 +196,19 @@ def _merge_section(name, given, errors) -> dict:
 
 
 def _validate_sections(cfg: dict, errors):
+    chk = cfg["check"]
+    _require_number(chk.get("alpha"), "check.alpha", errors, positive=True)
+    for lo_key, hi_key in (("xi_min", "xi_max"), ("eps_min", "eps_max")):
+        lo = _require_number(chk.get(lo_key), f"check.{lo_key}", errors,
+                             positive=True)
+        hi = _require_number(chk.get(hi_key), f"check.{hi_key}", errors,
+                             positive=True)
+        if lo is not None and hi is not None and lo >= hi:
+            errors.append(f"check.{lo_key}: must be below check.{hi_key}, "
+                          f"got {lo!r} >= {hi!r}")
+    _require_number(chk.get("points_per_decade"), "check.points_per_decade",
+                    errors, positive=True, integer=True)
+
     ker = cfg["kernel"]
     for key in ("alphas", "ts"):
         vals = ker.get(key)

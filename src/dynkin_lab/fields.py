@@ -21,12 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .kernels import kernel_value
+from .kernels import kernel_value, spectral_envelope
 from .levy import LevyModel, re_psi
 from .quadrature import NonConvergenceError, integral_to_infinity
 
 # amplitude stream components per field part
 _COMPONENTS = {"V": (0, 1), "S": (2, 3), "U": (4, 5), "eta_direct": (6, 7)}
+# the line kernel whose spectral envelope each field's density is
+_KERNEL_OF = {"eta": "potential", "V": "varV", "S": "varS", "U": "varU"}
 
 
 @dataclass(frozen=True)
@@ -61,49 +63,20 @@ class SpectralGrid:
         return SpectralGrid(cutoff=cutoff, n_modes=1 << 14)
 
 
-def default_x_grid(grid: SpectralGrid, n_points: int = 1024) -> np.ndarray:
-    """Spatial grid at 4x oversampling of the Nyquist scale 2 pi / cutoff."""
-    dx = (2.0 * math.pi / grid.cutoff) * 0.25
-    return np.arange(n_points) * dx
-
-
 def spectral_density(kind: str, model: LevyModel, alpha: float | None,
                      t: float | None, xi, derivative_order: int = 0):
     """Two-sided spectral density f(xi) of the selected field.
 
-    f_eta = 1/(2 pi (alpha + 2 RePsi));  f_S = exp(-(alpha+2 RePsi) t) f_eta;
-    f_V = f_eta - f_S;  f_U = (1 - exp(-2 t RePsi))/(4 pi RePsi) with the
-    removable limit t/(2 pi) at RePsi = 0.  A derivative order n multiplies
-    by xi^(2n).
+    f = env / (2 pi), with env the matching kernel's spectral envelope
+    (eta: potential, V: varV, S: varS, U: varU), so f_V + f_S = f_eta and
+    f_U has the limit t/(2 pi) at RePsi = 0.  A derivative order n
+    multiplies by xi^(2n).
     """
-    xi_arr = np.asarray(xi, dtype=float)
-    p = np.asarray(re_psi(model, xi_arr), dtype=float)
-    if kind in ("eta", "V", "S"):
-        if alpha is None or alpha <= 0:
-            raise ValueError(f"field kind {kind!r} needs alpha > 0")
-        x = alpha + 2.0 * p
-        base = 1.0 / (2.0 * math.pi * x)
-        if kind == "eta":
-            out = base
-        elif kind == "S":
-            if t is None or t <= 0:
-                raise ValueError("field kind 'S' needs t > 0")
-            out = np.exp(-x * t) * base
-        else:
-            if t is None or t <= 0:
-                raise ValueError("field kind 'V' needs t > 0")
-            out = -np.expm1(-x * t) * base
-    elif kind == "U":
-        if t is None or t <= 0:
-            raise ValueError("field kind 'U' needs t > 0")
-        y = 2.0 * t * p
-        small = y < 1e-6
-        safe = np.where(small, 1.0, 4.0 * math.pi * p)
-        out = np.where(small,
-                       t / (2.0 * math.pi) * (1.0 - 0.5 * y + y * y / 6.0),
-                       -np.expm1(-y) / safe)
-    else:
+    if kind not in _KERNEL_OF:
         raise ValueError(f"unknown field kind {kind!r}")
+    env = spectral_envelope(_KERNEL_OF[kind], model, alpha, t)
+    xi_arr = np.asarray(xi, dtype=float)
+    out = env(xi_arr) / (2.0 * math.pi)
     if derivative_order:
         out = out * xi_arr ** (2 * derivative_order)
     if np.ndim(xi) == 0:
@@ -317,10 +290,6 @@ class RunningMoments:
         m = self.mean
         return self.total_sq / self.count - m * m
 
-    @property
-    def stderr_mean(self) -> float:
-        return math.sqrt(max(self.variance, 0.0) / self.count)
-
 
 @dataclass(frozen=True)
 class ScalingFit:
@@ -330,16 +299,6 @@ class ScalingFit:
     structure: np.ndarray
     structure_se: np.ndarray
     band: tuple[float, float]
-
-
-def resolved_band(sample: FieldSample, model: LevyModel) -> tuple[float, float]:
-    """Lag window where increment scaling is meaningful for this sample.
-
-    Lower edge: several synthesis resolution lengths 2 pi / cutoff.  Upper
-    edge: a fraction of the decorrelation length, i.e. the inverse of the
-    corner frequency where the spectral density leaves its small-xi regime.
-    """
-    return _band_for(sample.kind, model, sample.alpha, sample.t, sample.grid)
 
 
 def _band_for(kind: str, model: LevyModel, alpha, t,
@@ -485,8 +444,7 @@ def ensemble_stats_csv_text(model: LevyModel, kind: str, alpha, t,
                             grid: SpectralGrid, lags, emp_cov, emp_se,
                             provenance: str = "") -> str:
     """CSV (lag, empirical_cov, exact_cov, stderr) against the line kernel."""
-    kernel_kind = {"eta": "potential", "V": "varV", "S": "varS",
-                   "U": "varU"}[kind]
+    kernel_kind = _KERNEL_OF[kind]
     lines = []
     if provenance:
         lines.append(f"# {provenance}")

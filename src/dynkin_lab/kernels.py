@@ -84,52 +84,51 @@ class KernelQuery:
             raise ValueError("tolerance must be > 0")
 
 
-def _spectral_envelope(kind: str, model: LevyModel, alpha: float | None,
-                       t: float | None):
-    """One-sided envelope env(xi) with kernel(r) = (1/pi) CT(env, r)."""
-    if kind == "potential":
-        if alpha is None or alpha <= 0:
-            raise ValueError("potential kernel needs alpha > 0")
+def window(rate, t: float):
+    """(1 - exp(-rate t)) / rate, elementwise, with the limit t at rate = 0.
 
-        def env(xi):
-            return 1.0 / (alpha + 2.0 * re_psi(model, xi))
-    elif kind == "pbar":
-        if t is None or t <= 0:
-            raise ValueError("pbar kernel needs t > 0")
+    Below rate t = 1e-6 the quotient cancels, and the series
+    t (1 - x/2 + x^2/6) in x = rate t replaces it.
+    """
+    rate = np.asarray(rate, dtype=float)
+    x = rate * t
+    small = x < 1e-6
+    safe = np.where(small, 1.0, rate)
+    return np.where(small, t * (1.0 - 0.5 * x + x * x / 6.0),
+                    -np.expm1(-x) / safe)
 
-        def env(xi):
-            return np.exp(-2.0 * t * re_psi(model, xi))
-    elif kind == "varV":
-        if alpha is None or alpha <= 0 or t is None or t <= 0:
-            raise ValueError("varV kernel needs alpha > 0 and t > 0")
 
-        def env(xi):
-            x = alpha + 2.0 * re_psi(model, xi)
-            return -np.expm1(-x * t) / x
-    elif kind == "varS":
-        if alpha is None or alpha <= 0 or t is None or t <= 0:
-            raise ValueError("varS kernel needs alpha > 0 and t > 0")
+def spectral_envelope(kind: str, model: LevyModel, alpha: float | None,
+                      t: float | None):
+    """One-sided envelope env(xi) with kernel(r) = (1/pi) CT(env, r).
 
-        def env(xi):
-            x = alpha + 2.0 * re_psi(model, xi)
-            return np.exp(-x * t) / x
-    elif kind == "varU":
-        if t is None or t <= 0:
-            raise ValueError("varU kernel needs t > 0")
-
-        def env(xi):
-            p = np.asarray(re_psi(model, xi), dtype=float)
-            x = 2.0 * t * p
-            # series substitution removes the xi -> 0 limit t of (1-e^-x)/x
-            small = x < 1e-6
-            safe = np.where(small, 1.0, 2.0 * p)
-            out = np.where(small, t * (1.0 - 0.5 * x + x * x / 6.0),
-                           -np.expm1(-x) / safe)
-            return out
-    else:
+    Each envelope is a function of the replica rate x = alpha + 2 RePsi(xi):
+    potential 1/x, pbar exp(-x t), varV window(x, t), varS exp(-x t)/x, and
+    varU, which is varV at alpha = 0.  pbar and varU take alpha = 0.
+    """
+    if kind not in KERNEL_KINDS:
         raise ValueError(f"unknown kernel kind {kind!r}; "
                          f"expected one of {KERNEL_KINDS}")
-    return env
+    killed = kind in ("potential", "varV", "varS")
+    if killed and (alpha is None or alpha <= 0):
+        raise ValueError(f"{kind} kernel needs alpha > 0")
+    if kind != "potential" and (t is None or t <= 0):
+        raise ValueError(f"{kind} kernel needs t > 0")
+    a = alpha if killed else 0.0
+
+    def rate(xi):
+        return a + 2.0 * np.asarray(re_psi(model, xi), dtype=float)
+
+    if kind == "potential":
+        return lambda xi: 1.0 / rate(xi)
+    if kind == "pbar":
+        return lambda xi: np.exp(-rate(xi) * t)
+    if kind == "varS":
+        def env(xi):
+            x = rate(xi)
+            return np.exp(-x * t) / x
+        return env
+    return lambda xi: window(rate(xi), t)
 
 
 def _envelope_decay_guard(env, kind: str, summable: bool, context: str):
@@ -166,7 +165,7 @@ def kernel_value(model: LevyModel, kind: str, r: float,
                  alpha: float | None = None, t: float | None = None,
                  rel_tol: float = 1e-9) -> float:
     """Scalar kernel at lag r for the selected kind."""
-    env = _spectral_envelope(kind, model, alpha, t)
+    env = spectral_envelope(kind, model, alpha, t)
     if r != 0.0:
         _envelope_decay_guard(env, kind, kind in ("potential", "varV",
                                                   "varU"),
@@ -236,8 +235,8 @@ def variance_profile(model: LevyModel, query: KernelQuery) -> VarianceProfile:
                          ("varV", dict(alpha=alpha, t=t)),
                          ("varS", dict(alpha=alpha, t=t)),
                          ("potential", dict(alpha=alpha))):
-        env = _spectral_envelope(kind, model, kwargs.get("alpha"),
-                                 kwargs.get("t"))
+        env = spectral_envelope(kind, model, kwargs.get("alpha"),
+                                kwargs.get("t"))
         value, err = integral_to_infinity(env, 0.0, rel_tol=rel,
                                           first_edge=query.cutoff,
                                           context=f"{kind} profile")
@@ -276,7 +275,7 @@ def quadratic_form(model: LevyModel, alpha: float | None, mu: AtomicMeasure,
                 total += ci * cj * cache[r]
         return total
     if route == "grid":
-        env = _spectral_envelope(kernel, model, alpha, t)
+        env = spectral_envelope(kernel, model, alpha, t)
         dxi = grid_cutoff / grid_modes
         xi = (np.arange(grid_modes) + 0.5) * dxi
         body = float(np.sum(env(xi) * mu.fourier_sq(xi))) * dxi / math.pi

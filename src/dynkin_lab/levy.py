@@ -24,8 +24,7 @@ import numpy as np
 
 from .quadrature import (_GL_NODES, _GL_WEIGHTS, NonConvergenceError,
                          adaptive, cosine_transform,
-                         dyadic_integral_to_zero, integral_to_infinity,
-                         octave_table)
+                         dyadic_integral_to_zero, integral_to_infinity)
 
 SATISFIED = "satisfied-numerically"
 VIOLATED = "violated-numerically"
@@ -294,7 +293,7 @@ def re_psi(model: LevyModel, xi, rel_tol: float = 1e-8):
         assert model.nu is not None
         gauss = 0.5 * model.sigma2 * a * a
         jumps = np.array([_jump_exponent(model.nu, float(v), rel_tol)
-                          for v in np.atleast_1d(a)]).reshape(a.shape)
+                          for v in a.ravel()]).reshape(a.shape)
         out = gauss + jumps
     if np.ndim(xi) == 0:
         return float(out)
@@ -488,10 +487,3 @@ def condition_report(model: LevyModel, alpha: float,
     return ConditionReport(alpha, dalang_value, dalang_tail, hawkes, quasi,
                            kg, verdicts)
 
-
-def dalang_octave_table(model: LevyModel, alpha: float,
-                        start: float = 1.0,
-                        stop: float = 2.0**20) -> list[tuple[float, float]]:
-    """Raw octave masses of the existence integrand, for diagnostics."""
-    return octave_table(lambda x: 1.0 / (alpha + 2.0 * re_psi(model, x)),
-                        start, stop)

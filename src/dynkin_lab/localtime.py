@@ -63,12 +63,6 @@ class PathConfig:
         """Default eps = dt^(1/beta), the spatial scale of one step."""
         return self.eps if self.eps is not None else self.dt ** (1.0 / self.beta)
 
-    @property
-    def increment_scale(self) -> float:
-        """Stable scale sigma with increment law S_beta(sigma), char
-        exp(-|sigma xi|^beta) = exp(-2 c dt |xi|^beta)."""
-        return (2.0 * self.c * self.dt) ** (1.0 / self.beta)
-
     def line_model(self) -> LevyModel:
         return LevyModel.stable(self.beta, self.c)
 
@@ -223,10 +217,6 @@ class CorollaryResult:
     n_long: int
     n_short: int
     verdict: bool
-
-    @property
-    def combined_se(self) -> float:
-        return math.sqrt(self.lhs_se**2 + self.rhs_se**2)
 
 
 def corollary_test(cfg: PathConfig, alpha: float, a: float, b: float,

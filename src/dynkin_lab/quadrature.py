@@ -98,6 +98,11 @@ def adaptive(f: Callable, a: float, b: float, rel_tol: float = 1e-10,
     return total
 
 
+def _ratios_agree(rho: float, rho_prev: float) -> bool:
+    """Consecutive ratios of a geometric tail are close enough to trust."""
+    return abs(rho - rho_prev) <= max(0.002, 0.02 * (1.0 - rho))
+
+
 def integral_to_infinity(f: Callable, start: float = 0.0,
                          rel_tol: float = 1e-10,
                          first_edge: float | None = None,
@@ -128,7 +133,7 @@ def integral_to_infinity(f: Callable, start: float = 0.0,
             rho = j / j_prev
             if rho_prev is not None:
                 drift = abs(rho - rho_prev)
-                stable = drift <= max(0.002, 0.02 * (1.0 - rho))
+                stable = _ratios_agree(rho, rho_prev)
                 if stable and rho < RATIO_CAP:
                     tail = j * rho / (1.0 - rho)
                     uncertainty = (drift + 1e-12) * j / (1.0 - rho) ** 2
@@ -248,19 +253,23 @@ def dyadic_integral_to_zero(f: Callable, upper: float, rel_tol: float = 1e-9,
     """Integrate f on (0, upper] when f may blow up (integrably) at 0.
 
     Dyadic shells [upper*2^-(m+1), upper*2^-m] are accumulated until they
-    decay geometrically and the remaining mass is below tolerance; shells
-    that fail to decay raise :class:`NonConvergenceError` (the integrand is
-    not integrable at the origin at working precision).
+    decay geometrically and the remaining mass is below tolerance.  Shells
+    that shrink too slowly to get there within ``max_levels`` (z^2 rho for
+    a power law rho ~ z^(-1-beta) with beta near 2) take the geometric
+    remainder of ``integral_to_infinity`` once their last two ratios agree
+    below ``RATIO_CAP``; shells that fail to decay raise
+    :class:`NonConvergenceError` (the integrand is not integrable at the
+    origin at working precision).
     """
     total = 0.0
-    j_prev = None
+    j_prev = rho = rho_prev = None
     hi = upper
     for _ in range(max_levels):
         lo = 0.5 * hi
         j = adaptive(f, lo, hi, rel_tol=max(rel_tol, 1e-12))
         total += j
         if j_prev is not None and j > 0.0:
-            rho = j / j_prev if j_prev > 0 else 0.0
+            rho_prev, rho = rho, (j / j_prev if j_prev > 0 else 0.0)
             if rho < 0.97:
                 est_tail = j * rho / (1.0 - rho) if rho > 0 else 0.0
                 if est_tail <= rel_tol * max(abs(total), 1e-300):
@@ -274,16 +283,10 @@ def dyadic_integral_to_zero(f: Callable, upper: float, rel_tol: float = 1e-9,
         hi = lo
         if j == 0.0 and total >= 0.0:
             return total
+    if rho_prev is not None and rho < RATIO_CAP \
+            and _ratios_agree(rho, rho_prev):
+        return total + j_prev * rho / (1.0 - rho)
     raise NonConvergenceError(
         f"{context}: no decay after {max_levels} dyadic shells toward 0",
         partial=total, remainder=j_prev, diverged=True)
 
-
-def octave_table(f: Callable, start: float, stop: float) -> list[tuple[float, float]]:
-    """Octave integrals [(edge, int_edge^2edge f)] for trend diagnostics."""
-    rows = []
-    edge = start
-    while edge < stop:
-        rows.append((edge, adaptive(f, edge, 2.0 * edge, rel_tol=1e-10)))
-        edge *= 2.0
-    return rows

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .kernels import u_alpha
+from .kernels import u_alpha, window
 from .levy import LevyModel, re_psi
 
 
@@ -79,17 +79,12 @@ class StepOperator:
         self.cfg = cfg
         k = cfg.frequencies
         psi = np.asarray(re_psi(model, k), dtype=float)
-        rate = 2.0 * psi + cfg.alpha
         self.decay = np.exp(-(psi + 0.5 * cfg.alpha) * cfg.dt)
-        x = rate * cfg.dt
-        small = x < 1e-12
-        safe = np.where(small, 1.0, rate)
-        window = np.where(small, cfg.dt * (1.0 - 0.5 * x),
-                          -np.expm1(-x) / safe)
-        # complex modes: Var(Re) = Var(Im) = window / (2L); the real zero
-        # mode carries the full variance window / L
-        self.sigma_cplx = np.sqrt(window / (2.0 * cfg.circumference))
-        self.sigma_zero = math.sqrt(window[0] / cfg.circumference)
+        w = window(2.0 * psi + cfg.alpha, cfg.dt)
+        # complex modes: Var(Re) = Var(Im) = w / (2L); the real zero mode
+        # carries the full variance w / L
+        self.sigma_cplx = np.sqrt(w / (2.0 * cfg.circumference))
+        self.sigma_zero = math.sqrt(w[0] / cfg.circumference)
 
     def apply(self, state: TorusState) -> TorusState:
         # stream layout: one substream per (path, step); draws 2(half+1)
@@ -130,11 +125,7 @@ def mode_variance(cfg: TorusConfig, model: LevyModel, t: float) -> np.ndarray:
     """Exact E|u_n(t)|^2 for n = 0..half (limit t/L at zero rate)."""
     k = cfg.frequencies
     rate = 2.0 * np.asarray(re_psi(model, k), dtype=float) + cfg.alpha
-    x = rate * t
-    small = x < 1e-12
-    safe = np.where(small, 1.0, rate)
-    return np.where(small, t * (1.0 - 0.5 * x),
-                    -np.expm1(-x) / safe) / cfg.circumference
+    return window(rate, t) / cfg.circumference
 
 
 def point_variance_exact(cfg: TorusConfig, model: LevyModel,

@@ -70,6 +70,13 @@ def test_cli_bad_config_exit_2(tmp_path, capsys):
     assert "beta" in capsys.readouterr().err
 
 
+def test_cli_check_section_validated_exit_2(tmp_path, capsys):
+    for key, val in (("points_per_decade", 3.33), ("xi_min", "a")):
+        path = write_cfg(tmp_path, dict(MINIMAL, check={key: val}))
+        assert main(["check", "--config", path]) == 2
+        assert f"check.{key}" in capsys.readouterr().err
+
+
 def test_cli_missing_config_exit_2(tmp_path, capsys):
     assert main(["check", "--config", str(tmp_path / "nope.json")]) == 2
 

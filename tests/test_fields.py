@@ -8,7 +8,8 @@ from dynkin_lab.fields import (FieldSample, SpectralGrid, ensemble_values,
                                increment_scaling_exponent, sample_heat_field,
                                sample_joint, scaling_exponent_ensemble,
                                spectral_density, structure_function_exact)
-from dynkin_lab.kernels import KernelQuery, u_alpha, variance_profile
+from dynkin_lab.kernels import (KernelQuery, spectral_envelope, u_alpha,
+                                variance_profile)
 from dynkin_lab.levy import LevyModel
 from dynkin_lab.quadrature import NonConvergenceError
 
@@ -44,6 +45,18 @@ def test_density_stable_tail():
     xi = 1e6
     f = spectral_density("eta", STABLE, 1.0, None, xi)
     assert f == pytest.approx(1.0 / (4 * math.pi * xi ** 1.5), rel=1e-5)
+
+
+def test_density_is_kernel_envelope_over_two_pi():
+    xi = np.geomspace(1e-3, 1e3, 61)
+    for kind, kernel in (("eta", "potential"), ("V", "varV"), ("S", "varS"),
+                         ("U", "varU")):
+        env = spectral_envelope(kernel, STABLE, 1.5, 0.4)(xi)
+        for n in (0, 1):
+            f = spectral_density(kind, STABLE, 1.5, 0.4, xi,
+                                 derivative_order=n)
+            want = env * xi ** (2 * n)
+            assert np.all(np.abs(2 * math.pi * f - want) <= 1e-15 * want)
 
 
 def test_density_validation():

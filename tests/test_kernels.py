@@ -6,8 +6,8 @@ import pytest
 from dynkin_lab.kernels import (AtomicMeasure, KernelQuery, delta_difference,
                                 green_bound_constant, kernel_value,
                                 pbar_density, quadratic_form, u_alpha,
-                                variance_profile)
-from dynkin_lab.levy import LevyModel
+                                variance_profile, window)
+from dynkin_lab.levy import LevyMeasure, LevyModel, stable_jump_coefficient
 from dynkin_lab.quadrature import NonConvergenceError
 
 BROWNIAN = LevyModel.brownian(1.0)
@@ -206,3 +206,26 @@ def test_kernel_query_validation():
 def test_kernel_value_matches_u_alpha():
     assert kernel_value(BROWNIAN, "potential", 0.5, alpha=2.0) == \
         pytest.approx(u_alpha(BROWNIAN, 2.0, 0.5), rel=1e-12)
+
+
+def test_u_alpha_khintchine_off_origin_matches_stable():
+    # the cosine transform evaluates RePsi on a 2-d block of nodes
+    nu = LevyMeasure.power_law(stable_jump_coefficient(1.5, 1.0), 1.5)
+    jumps = LevyModel.khintchine(0.0, nu)
+    assert u_alpha(jumps, 1.0, 0.5) == pytest.approx(
+        u_alpha(STABLE, 1.0, 0.5), rel=1e-6)
+
+
+def test_window_zero_rate_is_t():
+    for t in (1e-3, 0.7, 5.0):
+        assert window(0.0, t) == t
+        assert np.all(window(np.zeros(3), t) == t)
+
+
+def test_window_series_meets_quotient_at_threshold():
+    t = 0.7
+    rates = 1e-6 / t * (1.0 + 1e-9 * np.arange(-5, 6))
+    x = rates * t
+    assert np.any(x < 1e-6) and np.any(x >= 1e-6)
+    exact = t * (1.0 - x / 2.0 + x * x / 6.0 - x ** 3 / 24.0)
+    assert np.all(np.abs(window(rates, t) - exact) <= 1e-15 * exact)

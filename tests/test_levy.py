@@ -74,15 +74,17 @@ def test_exponent_cache_does_not_outlive_its_measure():
 
 
 def test_feller_power_law_ratio():
-    # K(eps) = 2C eps^-b/(2-b), G(eps) = 2C eps^-b/b
-    beta = 1.5
-    nu = LevyMeasure.power_law(0.8, beta)
-    m = LevyModel.khintchine(0.0, nu)
-    for eps in (0.03, 0.5, 2.0):
-        k_val, g_val = feller_functions(m, eps)
-        assert k_val == pytest.approx(2 * 0.8 * eps ** -beta / (2 - beta),
-                                      rel=1e-7)
-        assert g_val / k_val == pytest.approx((2 - beta) / beta, rel=1e-7)
+    # K(eps) = 2C eps^-b/(2-b), G(eps) = 2C eps^-b/b; at beta = 1.9 the
+    # dyadic shells of z^2 rho toward 0 shrink by only 2^-(2-beta) each
+    for beta in (1.5, 1.9):
+        nu = LevyMeasure.power_law(0.8, beta)
+        m = LevyModel.khintchine(0.0, nu)
+        for eps in (0.03, 0.5, 2.0):
+            k_val, g_val = feller_functions(m, eps)
+            assert k_val == pytest.approx(
+                2 * 0.8 * eps ** -beta / (2 - beta), rel=1e-7)
+            assert g_val / k_val == pytest.approx((2 - beta) / beta,
+                                                  rel=1e-7)
 
 
 def test_feller_truncated_support():

@@ -5,7 +5,8 @@ import pytest
 
 from dynkin_lab import torus
 from dynkin_lab.fields import RunningMoments
-from dynkin_lab.levy import LevyModel
+from dynkin_lab.kernels import window
+from dynkin_lab.levy import LevyModel, re_psi
 from dynkin_lab.torus import (StepOperator, TorusConfig, TorusState,
                               initial_state, mode_variance,
                               point_variance_exact, run_moments, snapshot,
@@ -125,6 +126,15 @@ def test_stationary_spectrum_limit():
     exact = torus.stationary_point_variance(cfg, BROWNIAN)
     assert point_variance_exact(cfg, BROWNIAN, 50.0) == \
         pytest.approx(exact, rel=1e-10)
+
+
+def test_mode_variance_is_the_kernel_window():
+    for alpha in (0.0, 2.0):
+        cfg = TorusConfig(16.0, 33, alpha, 0.1)
+        rate = alpha + 2.0 * re_psi(BROWNIAN, cfg.frequencies)
+        want = window(rate, 0.3)
+        got = cfg.circumference * mode_variance(cfg, BROWNIAN, 0.3)
+        assert np.all(np.abs(got - want) <= 1e-15 * want)
 
 
 def test_heat_dominates_cable_per_mode():
