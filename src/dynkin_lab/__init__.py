@@ -25,7 +25,7 @@ from .localtime import (BandwidthError, CorollaryResult,
 from .quadrature import NonConvergenceError
 from .torus import (MomentReport, TorusConfig, TorusState, initial_state,
                     mode_variance, point_variance_exact, run_moments,
-                    snapshot, step)
+                    snapshot)
 
 __version__ = "0.1.0"
 
@@ -44,5 +44,5 @@ __all__ = [
     "pbar_density", "point_variance_exact", "quadratic_form", "re_psi",
     "resolvent_check", "run_moments", "sample_heat_field", "sample_joint",
     "snapshot", "spectral_density", "stable_increment",
-    "stable_jump_coefficient", "step", "u_alpha", "variance_profile",
+    "stable_jump_coefficient", "u_alpha", "variance_profile",
 ]

@@ -18,7 +18,7 @@ import tempfile
 
 import numpy as np
 
-from . import fields, localtime, torus, verify
+from . import __version__, fields, localtime, torus, verify
 from .config import ConfigError, ExperimentConfig, parse_config
 from .kernels import KernelQuery, u_alpha, pbar_density, variance_profile
 from .levy import condition_report
@@ -46,7 +46,8 @@ def _atomic_write(path: str, text: str):
 
 def _provenance(cfg: ExperimentConfig, command: str, extra: str = "") -> str:
     model = json.dumps(cfg.model_spec, sort_keys=True)
-    base = f"dynkin-lab v0.1.0 command={command} seed={cfg.seed} model={model}"
+    base = (f"dynkin-lab v{__version__} command={command} seed={cfg.seed} "
+            f"model={model}")
     return base + (" " + extra if extra else "")
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .levy import LevyMeasure, LevyModel
+from .verify import SUITES
 
 
 class ConfigError(ValueError):
@@ -64,9 +65,8 @@ _DEFAULTS = {
                   "alpha": 2.0, "a": 0.0, "b": 1.0,
                   "t": math.log(2.0), "dt": 1e-4, "eps": None,
                   "paths": 20000},
-    "verify": {"suites": ["levy", "kernels", "synthesis", "spde",
-                          "localtime"],
-               "paths_scale": 1.0, "tolerance_scale": 1.0},
+    "verify": {"suites": list(SUITES), "paths_scale": 1.0,
+               "tolerance_scale": 1.0},
 }
 
 
@@ -283,12 +283,11 @@ def _validate_sections(cfg: dict, errors):
 
     ver = cfg["verify"]
     suites = ver.get("suites")
-    known = {"levy", "kernels", "synthesis", "spde", "localtime"}
     if not isinstance(suites, list) or not suites:
         errors.append("verify.suites: expected a nonempty array")
     else:
         for s in suites:
-            if s not in known:
+            if s not in SUITES:
                 errors.append(f"verify.suites: unknown suite {s!r}")
     _require_number(ver.get("paths_scale"), "verify.paths_scale", errors,
                     positive=True)

@@ -132,23 +132,54 @@ def _check_bandwidth(eps: float, positions: np.ndarray):
             "step resolution")
 
 
-def local_time(positions: np.ndarray, dt: float, y: float, eps: float,
-               check_bandwidth: bool = True) -> LocalTimeEstimate:
+def _hits(body: np.ndarray, y: float, eps: float) -> np.ndarray:
+    """Mask of the left endpoints inside the box (y-eps, y+eps)."""
+    return np.abs(body - y) < eps
+
+
+def local_time(positions: np.ndarray, dt: float, y: float,
+               eps: float) -> LocalTimeEstimate:
     """Box occupation estimate of the local time at level y.
 
     Counts the left endpoints X_0..X_{n-1} inside (y-eps, y+eps); the
     bandwidth guards reject eps out of proportion with the step scale.
     """
     positions = np.asarray(positions, dtype=float)
-    if check_bandwidth:
-        _check_bandwidth(eps, positions)
-    count = int(np.count_nonzero(np.abs(positions[:-1] - y) < eps))
+    _check_bandwidth(eps, positions)
+    count = int(np.count_nonzero(_hits(positions[:-1], y, eps)))
     return LocalTimeEstimate(y, dt / (2.0 * eps) * count, eps)
 
 
-def _occupation_counts(positions: np.ndarray, levels, eps: float):
-    body = positions[:-1]
-    return [int(np.count_nonzero(np.abs(body - y) < eps)) for y in levels]
+def _paths(cfg: PathConfig, paths: int, seed: int | None, x0: float,
+           alpha: float | None = None, n_steps: int = 0):
+    """The per-path loop every estimator shares; yields (S, positions).
+
+    Path p starts at x0 and owns the stream (seed, DOMAIN_PATH, p).  With
+    alpha given, that stream first draws the exponential clock S(alpha)
+    and the path runs ceil(S/dt) >= 1 steps; otherwise it runs n_steps and
+    S is None.  The bandwidth guard runs on the first path.
+    """
+    if paths < 2:
+        raise ValueError("need at least 2 paths")
+    seed = cfg.seed if seed is None else seed
+    start = PathConfig(cfg.beta, cfg.c, cfg.dt, x0=x0)
+    for p in range(paths):
+        gen = rng.stream(seed, rng.DOMAIN_PATH, p)
+        s_time, n = None, n_steps
+        if alpha is not None:
+            s_time = gen.standard_exponential() / alpha
+            n = max(1, int(math.ceil(s_time / cfg.dt)))
+        pos = simulate_path(start, n, gen)
+        if p == 0:
+            _check_bandwidth(cfg.bandwidth, pos)
+        yield s_time, pos
+
+
+def _mean_se(n: int, total: float, total_sq: float):
+    """(mean, standard error of the mean) from n, sum and sum of squares."""
+    mean = total / n
+    var = max(total_sq / n - mean * mean, 0.0)
+    return mean, math.sqrt(var / n)
 
 
 @dataclass(frozen=True)
@@ -158,6 +189,7 @@ class ResolventResult:
     ``estimate`` is mean(Lhat at the exponential time S(alpha)) / alpha and
     ``exact`` is u_alpha(x,y) / alpha; the underlying normalisation identity
     is u_alpha(x,y) = alpha * int_0^inf e^{-alpha s} E^x L^y_s ds.
+    ``mean_at_exponential_time`` is that sample mean of Lhat itself.
     """
 
     estimate: float
@@ -166,12 +198,7 @@ class ResolventResult:
     paths: int
     eps: float
     dt: float
-
-    @property
-    def mean_at_exponential_time(self) -> float:
-        return self.estimate * self._alpha
-
-    _alpha: float = 1.0
+    mean_at_exponential_time: float
 
 
 def resolvent_check(cfg: PathConfig, alpha: float, x: float, y: float,
@@ -179,33 +206,18 @@ def resolvent_check(cfg: PathConfig, alpha: float, x: float, y: float,
     """Monte Carlo check of the local-time normalisation against u_alpha."""
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
-    if paths < 2:
-        raise ValueError("need at least 2 paths")
-    seed = cfg.seed if seed is None else seed
     eps = cfg.bandwidth
-    start = PathConfig(cfg.beta, cfg.c, cfg.dt, x0=x, eps=cfg.eps,
-                       seed=seed)
+    factor = cfg.dt / (2.0 * eps)
     total = 0.0
     total_sq = 0.0
-    checked = False
-    for p in range(paths):
-        gen = rng.stream(seed, rng.DOMAIN_PATH, p)
-        s_time = gen.standard_exponential() / alpha
-        n = max(1, int(math.ceil(s_time / cfg.dt)))
-        pos = simulate_path(start, n, gen)
-        if not checked:
-            _check_bandwidth(eps, pos)
-            checked = True
-        val = local_time(pos, cfg.dt, y, eps,
-                         check_bandwidth=False).value
+    for _, pos in _paths(cfg, paths, seed, x, alpha):
+        val = factor * int(np.count_nonzero(_hits(pos[:-1], y, eps)))
         total += val
         total_sq += val * val
-    mean = total / paths
-    var = max(total_sq / paths - mean * mean, 0.0)
+    mean, se = _mean_se(paths, total, total_sq)
     exact = u_alpha(cfg.line_model(), alpha, x - y) / alpha
-    return ResolventResult(mean / alpha, exact,
-                           math.sqrt(var / paths) / alpha, paths, eps,
-                           cfg.dt, _alpha=alpha)
+    return ResolventResult(mean / alpha, exact, se / alpha, paths, eps,
+                           cfg.dt, mean)
 
 
 @dataclass(frozen=True)
@@ -246,21 +258,13 @@ def corollary_test(cfg: PathConfig, alpha: float, a: float, b: float,
     """
     if alpha <= 0 or t <= 0:
         raise ValueError("alpha and t must be > 0")
-    seed = cfg.seed if seed is None else seed
     eps = cfg.bandwidth
-    start = PathConfig(cfg.beta, cfg.c, cfg.dt, x0=a, eps=cfg.eps, seed=seed)
     factor = cfg.dt / (2.0 * eps)
     stats = {True: [0, 0.0, 0.0], False: [0, 0.0, 0.0]}
-    checked = False
-    for p in range(paths):
-        gen = rng.stream(seed, rng.DOMAIN_PATH, p)
-        s_time = gen.standard_exponential() / alpha
-        n = max(1, int(math.ceil(s_time / cfg.dt)))
-        pos = simulate_path(start, n, gen)
-        if not checked:
-            _check_bandwidth(eps, pos)
-            checked = True
-        ca, cb = _occupation_counts(pos, (a, b), eps)
+    for s_time, pos in _paths(cfg, paths, seed, a, alpha):
+        body = pos[:-1]
+        ca = int(np.count_nonzero(_hits(body, a, eps)))
+        cb = int(np.count_nonzero(_hits(body, b, eps)))
         d = factor * (ca - cb)
         bucket = stats[s_time >= t]
         bucket[0] += 1
@@ -272,15 +276,8 @@ def corollary_test(cfg: PathConfig, alpha: float, a: float, b: float,
             f"conditioning bins have {n_long} (S>=t) and {n_short} (S<t) "
             f"paths; need >= {max(1, min_bin_count)} each -- increase paths "
             "or choose t nearer the typical exponential time")
-
-    def mean_se(bucket):
-        n, s, s2 = bucket
-        m = s / n
-        v = max(s2 / n - m * m, 0.0)
-        return m, math.sqrt(v / n)
-
-    lhs, lhs_se = mean_se(stats[True])
-    rhs, rhs_se = mean_se(stats[False])
+    lhs, lhs_se = _mean_se(*stats[True])
+    rhs, rhs_se = _mean_se(*stats[False])
     verdict = rhs <= lhs + 2.0 * math.sqrt(lhs_se**2 + rhs_se**2)
     return CorollaryResult(lhs, rhs, lhs_se, rhs_se, n_long, n_short,
                            verdict)
@@ -318,37 +315,25 @@ def discounted_split_check(cfg: PathConfig, alpha: float, a: float, b: float,
     """Monte Carlo check of the pre/post-t discounted local-time estimate."""
     if alpha <= 0 or t <= 0:
         raise ValueError("alpha and t must be > 0")
-    seed = cfg.seed if seed is None else seed
     eps = cfg.bandwidth
-    start = PathConfig(cfg.beta, cfg.c, cfg.dt, x0=a, eps=cfg.eps, seed=seed)
     factor = cfg.dt / (2.0 * eps)
     ct = math.exp(-alpha * t) / (-math.expm1(-alpha * t))
     k_t = int(math.ceil(t / cfg.dt))
     pre_sum = post_sum = acc = acc_sq = 0.0
-    checked = False
-    for p in range(paths):
-        gen = rng.stream(seed, rng.DOMAIN_PATH, p)
-        s_time = gen.standard_exponential() / alpha
-        n = max(1, int(math.ceil(s_time / cfg.dt)))
-        pos = simulate_path(start, n, gen)
-        if not checked:
-            _check_bandwidth(eps, pos)
-            checked = True
+    for _, pos in _paths(cfg, paths, seed, a, alpha):
         body = pos[:-1]
-        hits = ((np.abs(body - a) < eps).astype(float)
-                - (np.abs(body - b) < eps).astype(float))
-        k = min(k_t, n)
-        pre = factor * float(hits[:k].sum())
-        post = factor * float(hits[k:].sum())
+        hits = (_hits(body, a, eps).astype(float)
+                - _hits(body, b, eps).astype(float))
+        pre = factor * float(hits[:k_t].sum())
+        post = factor * float(hits[k_t:].sum())
         pre_sum += pre
         post_sum += post
         delta = ct * pre - post
         acc += delta
         acc_sq += delta * delta
-    mean = acc / paths
-    var = max(acc_sq / paths - mean * mean, 0.0)
+    margin, margin_se = _mean_se(paths, acc, acc_sq)
     return DiscountedSplitResult(post_sum / paths, ct * pre_sum / paths,
-                                 mean, math.sqrt(var / paths), paths)
+                                 margin, margin_se, paths)
 
 
 def mean_local_times(cfg: PathConfig, levels, times, paths: int,
@@ -362,7 +347,8 @@ def mean_local_times(cfg: PathConfig, levels, times, paths: int,
     times = sorted(times)
     if not times:
         raise ValueError("need at least one horizon")
-    seed = cfg.seed if seed is None else seed
+    if times[0] <= 0:
+        raise ValueError("horizons must be > 0")
     eps = cfg.bandwidth
     steps = [int(round(t / cfg.dt)) for t in times]
     if any(abs(s * cfg.dt - t) > 1e-9 * t for s, t in zip(steps, times)):
@@ -371,17 +357,10 @@ def mean_local_times(cfg: PathConfig, levels, times, paths: int,
     factor = cfg.dt / (2.0 * eps)
     acc = np.zeros((len(times), len(levels)))
     acc_sq = np.zeros_like(acc)
-    checked = False
-    for p in range(paths):
-        gen = rng.stream(seed, rng.DOMAIN_PATH, p)
-        pos = simulate_path(cfg, steps[-1], gen)
-        if not checked:
-            _check_bandwidth(eps, pos)
-            checked = True
+    for _, pos in _paths(cfg, paths, seed, cfg.x0, n_steps=steps[-1]):
         body = pos[:-1]
         for li, y in enumerate(levels):
-            hits = np.abs(body - y) < eps
-            cum = np.cumsum(hits)
+            cum = np.cumsum(_hits(body, y, eps))
             for ti, s in enumerate(steps):
                 val = factor * float(cum[s - 1])
                 acc[ti, li] += val

@@ -101,10 +101,6 @@ class StepOperator:
                           state.path, state.step_index + 1)
 
 
-def step(state: TorusState, cfg: TorusConfig, model: LevyModel) -> TorusState:
-    return StepOperator(cfg, model).apply(state)
-
-
 def snapshot(state: TorusState, cfg: TorusConfig, x) -> np.ndarray:
     """Field values u(x) = sum_n u_n exp(i k_n x) for x in [0, L)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))

@@ -184,3 +184,57 @@ def test_mean_local_times_validation():
         mean_local_times(cfg, [0.0], [], 10)
     with pytest.raises(ValueError):
         mean_local_times(cfg, [0.0], [0.00033], 10)
+
+
+def test_mean_local_times_rejects_zero_horizon():
+    # a zero horizon would read cum[-1], the last horizon's count
+    cfg = PathConfig(1.5, 0.5, 1e-3, seed=0)
+    with pytest.raises(ValueError, match="horizons must be > 0"):
+        mean_local_times(cfg, [0.0], [0.0, 1.0], 200, seed=3)
+    with pytest.raises(ValueError, match="horizons must be > 0"):
+        mean_local_times(cfg, [0.0], [0.0], 200, seed=3)
+
+
+@pytest.mark.parametrize("paths", [0, 1])
+@pytest.mark.parametrize("estimator", [
+    lambda cfg, n: resolvent_check(cfg, 1.0, 0.0, 0.0, n),
+    lambda cfg, n: corollary_test(cfg, 1.0, 0.0, 1.0, 0.5, n,
+                                  min_bin_count=1),
+    lambda cfg, n: discounted_split_check(cfg, 1.0, 0.0, 1.0, 0.5, n),
+    lambda cfg, n: mean_local_times(cfg, [0.0], [0.5], n),
+], ids=["resolvent", "corollary", "discounted_split", "mean_local_times"])
+def test_estimators_need_two_paths(estimator, paths):
+    cfg = PathConfig(1.5, 0.5, 1e-3, seed=0)
+    with pytest.raises(ValueError, match="at least 2 paths"):
+        estimator(cfg, paths)
+
+
+def test_path_stream_contract():
+    # Exact outputs at small path counts: path p's positions are a pure
+    # function of (seed, DOMAIN_PATH, p), so a rewrite of the path loop
+    # (batched or not) must reproduce every one of these numbers exactly.
+    cfg = PathConfig(1.5, 0.5, 1e-3, seed=0)
+    res = resolvent_check(cfg, 1.5, 0.0, 0.1, paths=200, seed=11)
+    assert (res.estimate, res.exact, res.stderr, res.paths, res.eps,
+            res.dt) == (0.2664999999999999, 0.2848394110643933,
+                        0.02421030255903466, 200, 0.010000000000000002,
+                        0.001)
+    # the sample mean of Lhat(S); estimate * alpha is within one ulp of it
+    assert res.mean_at_exponential_time == 0.3997499999999999
+    cor = corollary_test(cfg, 1.0, 0.0, 0.5, math.log(2.0), paths=200,
+                         seed=12, min_bin_count=50)
+    assert (cor.lhs, cor.rhs, cor.lhs_se, cor.rhs_se, cor.n_long,
+            cor.n_short, cor.verdict) == (
+        0.595959595959596, 0.444059405940594, 0.099333758490237,
+        0.0518517372039735, 99, 101, True)
+    split = discounted_split_check(cfg, 1.0, 0.0, 0.5, math.log(2.0),
+                                   paths=200, seed=13)
+    assert (split.lhs, split.rhs, split.margin, split.margin_se,
+            split.paths) == (-0.020749999999999994, 0.45224999999999965,
+                             0.4729999999999999, 0.043404838439971165, 200)
+    means, ses = mean_local_times(PathConfig(1.5, 0.5, 1e-3, x0=0.2),
+                                  [0.0, 0.3], [0.5, 1.0], 200, seed=14)
+    assert means.tolist() == [[0.359, 0.4507499999999999],
+                              [0.49950000000000006, 0.6187499999999997]]
+    assert ses.tolist() == [[0.03392594877081553, 0.03542152858785177],
+                            [0.04005619490166283, 0.046773974467646015]]

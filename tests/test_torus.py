@@ -9,8 +9,7 @@ from dynkin_lab.kernels import window
 from dynkin_lab.levy import LevyModel, re_psi
 from dynkin_lab.torus import (StepOperator, TorusConfig, TorusState,
                               initial_state, mode_variance,
-                              point_variance_exact, run_moments, snapshot,
-                              step)
+                              point_variance_exact, run_moments, snapshot)
 
 BROWNIAN = LevyModel.brownian(1.0)
 
@@ -68,8 +67,8 @@ def test_zero_mode_variance_heat_exact():
 def test_step_is_pure_and_reproducible():
     cfg = TorusConfig(16.0, 17, 1.0, 0.1)
     st = initial_state(cfg, seed=5, path=2)
-    a = step(st, cfg, BROWNIAN)
-    b = step(st, cfg, BROWNIAN)
+    a = StepOperator(cfg, BROWNIAN).apply(st)
+    b = StepOperator(cfg, BROWNIAN).apply(st)
     assert np.array_equal(a.modes, b.modes)
     assert a.time == pytest.approx(0.1)
     assert a.step_index == 1
