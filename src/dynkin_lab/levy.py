@@ -16,6 +16,7 @@ Gaussian coefficient convention sigma2 xi^2 / 2 is the classical one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -23,8 +24,9 @@ from typing import Callable
 import numpy as np
 
 from .quadrature import (_GL_NODES, _GL_WEIGHTS, NonConvergenceError,
-                         adaptive, cosine_transform,
-                         dyadic_integral_to_zero, integral_to_infinity)
+                         _averaged_tail, _geometric_tail, adaptive,
+                         cosine_transform, dyadic_integral_to_zero,
+                         integral_to_infinity)
 
 SATISFIED = "satisfied-numerically"
 VIOLATED = "violated-numerically"
@@ -156,6 +158,9 @@ class LevyModel:
     c: float = 0.0
     sigma2: float = 0.0
     nu: LevyMeasure | None = None
+    # the stable model's certified canonical measure, built on first use
+    _canonical: list = field(default_factory=list, init=False, repr=False,
+                             compare=False)
 
     @staticmethod
     def brownian(kappa: float) -> "LevyModel":
@@ -182,13 +187,17 @@ class LevyModel:
         if self.kind == "khintchine":
             assert self.nu is not None
             return self.nu
-        if self.kind == "stable":
+        if self.kind != "stable":
+            raise ValueError(f"K and G are undefined for kind {self.kind!r}")
+        if not self._canonical:
             coeff = stable_jump_coefficient(self.beta, self.c)
             if coeff == 0.0:  # beta = 2: purely Gaussian
-                return LevyMeasure(lambda z: np.zeros_like(np.asarray(z, float)),
-                                   0.0, math.inf)
-            return LevyMeasure.power_law(coeff, self.beta)
-        raise ValueError(f"K and G are undefined for kind {self.kind!r}")
+                nu = LevyMeasure(lambda z: np.zeros_like(np.asarray(z, float)),
+                                 0.0, math.inf)
+            else:
+                nu = LevyMeasure.power_law(coeff, self.beta)
+            self._canonical.append(nu)
+        return self._canonical[0]
 
     def has_gaussian_part(self) -> bool:
         return (self.kind == "brownian"
@@ -237,15 +246,19 @@ def _jump_exponent(nu: LevyMeasure, xi: float, rel_tol: float) -> float:
                                            context="jump exponent near field")
     far = 0.0
     edge = min(math.pi / xi, nu.z_max)
-    if edge > split:
+    # no interval may straddle z_min, where the density jumps: adaptive
+    # cannot see a jump that its nodes miss
+    bridge = max(split, nu.z_min)
+    if edge > bridge:
         far += adaptive(lambda z: (1.0 - np.cos(z * xi)) * nu.density(z),
-                        split, edge, rel_tol=rel_tol)
+                        bridge, edge, rel_tol=rel_tol)
     if edge < nu.z_max:
         if nu.z_max is not math.inf:
-            n_half = int(math.ceil((nu.z_max - edge) * xi / math.pi))
+            start = max(edge, nu.z_min)
+            n_half = int(math.ceil((nu.z_max - start) * xi / math.pi))
             if n_half <= 20_000:
                 # one Gauss-Legendre panel per half-period, vectorised
-                edges = np.minimum(edge + (math.pi / xi)
+                edges = np.minimum(start + (math.pi / xi)
                                    * np.arange(n_half + 1), nu.z_max)
                 mids = 0.5 * (edges[:-1] + edges[1:])[:, None]
                 halves = 0.5 * np.diff(edges)[:, None]
@@ -257,21 +270,38 @@ def _jump_exponent(nu: LevyMeasure, xi: float, rel_tol: float) -> float:
                 # extreme oscillation over a finite window: take the measure
                 # mass and correct with a midpoint Filon rule; the neglected
                 # remainder is O(TV(rho)/xi), far below trend-table needs
-                mass = adaptive(nu.density, edge, nu.z_max, rel_tol=rel_tol)
-                segs = np.linspace(edge, nu.z_max, 2049)
+                mass = adaptive(nu.density, start, nu.z_max, rel_tol=rel_tol)
+                segs = np.linspace(start, nu.z_max, 2049)
                 mids = 0.5 * (segs[:-1] + segs[1:])
                 osc = float(np.sum(nu.density(mids)
                                    * (np.sin(xi * segs[1:])
                                       - np.sin(xi * segs[:-1])) / xi))
                 far += mass - osc
         else:
-            mass, _ = integral_to_infinity(nu.density, edge,
-                                           first_edge=2.0 * edge,
+            # an empty first octave or block of panels would also end
+            # either integral with 0
+            lo = max(edge, nu.z_min)
+            mass, _ = integral_to_infinity(nu.density, lo,
+                                           first_edge=2.0 * lo,
                                            rel_tol=rel_tol,
                                            context="jump measure far mass")
-            osc, _ = cosine_transform(
-                lambda z: np.where(z > edge, nu.density(z), 0.0), xi,
-                rel_tol=rel_tol, context="jump exponent far field")
+            if nu.z_min <= edge:
+                osc, _ = cosine_transform(
+                    lambda z: np.where(z > edge, nu.density(z), 0.0), xi,
+                    rel_tol=rel_tol, context="jump exponent far field")
+            else:
+                # z_min to the next half period k pi/xi, then the rest,
+                # where cos(k pi + y xi) = (-1)^k cos(y xi); the rest can
+                # be far smaller than the mass, which sets its tolerance
+                k = math.floor(nu.z_min * xi / math.pi) + 1
+                start = k * math.pi / xi
+                osc = adaptive(lambda z: np.cos(z * xi) * nu.density(z),
+                               nu.z_min, start, rel_tol=rel_tol)
+                rest, _ = cosine_transform(
+                    lambda y: nu.density(start + y), xi, rel_tol=rel_tol,
+                    abs_tol=rel_tol * mass,
+                    context="jump exponent far field")
+                osc += (-1) ** k * rest
             far += mass - osc
     value = 2.0 * (near + far)
     value = max(value, 0.0)
@@ -281,8 +311,186 @@ def _jump_exponent(nu: LevyMeasure, xi: float, rel_tol: float) -> float:
     return value
 
 
+# Panels of the batched jump exponent, in u = z xi on (0, inf)
+_NEAR_SHELLS = 48    # dyadic shells [2^-(m+1), 2^-m] of (0, 1]
+_MASS_OCTAVES = 32   # octaves [pi 2^k, pi 2^(k+1)] of the far mass
+_OSC_PANELS = 48     # half periods [k pi, (k+1) pi], k = 1..48
+_OSC_WINDOW = 12     # partial sums averaged, as in cosine_transform
+_OSC_LAG = 16        # panels between the two averaged values compared
+_CHUNK_DOUBLES = 2**16
+# nodes and weights on [-1, 1] of one panel, then of its two halves
+_SPLIT_NODES = np.concatenate([_GL_NODES, 0.5 * (_GL_NODES - 1.0),
+                               0.5 * (_GL_NODES + 1.0)])[:, None, None]
+_SPLIT_WEIGHTS = np.concatenate([_GL_WEIGHTS, 0.5 * _GL_WEIGHTS,
+                                 0.5 * _GL_WEIGHTS])[:, None, None]
+_NEAR, _MASS, _OSC = 0, 1, 2
+
+
+def _nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Nodes of the panels [lo, hi] (shape (rows, panels)) and of their
+    halves, node-major: shape (48, rows, panels), 16 per panel."""
+    u = 0.5 * (hi - lo) * _SPLIT_NODES
+    u += 0.5 * (lo + hi)
+    return u
+
+
+def _factors(u: np.ndarray, kind: np.ndarray) -> np.ndarray:
+    """What multiplies g(u) on each kind of panel: 2 sin^2(u/2) in the
+    near field, 1 in the far mass, cos u in the oscillatory part."""
+    s = np.sin(0.5 * u)
+    return np.where(kind == _NEAR, 2.0 * s * s,
+                    np.where(kind == _MASS, 1.0, np.cos(u)))
+
+
+@functools.lru_cache(maxsize=1)
+def _panel_table():
+    """The shared u-panels (lo, hi, kind) and the factors at their nodes;
+    built on first use and read-only."""
+    shells = 0.5 ** np.arange(_NEAR_SHELLS + 1)
+    octaves = math.pi * 2.0 ** np.arange(_MASS_OCTAVES + 1)
+    halves = math.pi * np.arange(1, _OSC_PANELS + 2)
+    lo = np.concatenate([shells[1:], [1.0], octaves[:-1], halves[:-1]])
+    hi = np.concatenate([shells[:-1], [math.pi], octaves[1:], halves[1:]])
+    kind = np.repeat([_NEAR, _MASS, _OSC],
+                     [_NEAR_SHELLS + 1, _MASS_OCTAVES, _OSC_PANELS])
+    table = (lo, hi, kind, _factors(_nodes(lo[None], hi[None]), kind))
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
+def _shrinking_tail(j: np.ndarray):
+    """``quadrature._geometric_tail`` past the last of each row of a
+    (rows, n) run of shrinking terms; a row whose last term is 0 has an
+    exact zero tail.  Returns (tail, uncertainty, ok)."""
+    last, prev, prev2 = j[:, -1], j[:, -2], j[:, -3]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tail, unc, ok = _geometric_tail(last, last / prev, prev / prev2)
+    zero = last == 0.0
+    return np.where(zero, 0.0, tail), np.where(zero, 0.0, unc), ok | zero
+
+
+def _jump_exponents(nu: LevyMeasure, xis: np.ndarray,
+                    rel_tol: float) -> np.ndarray:
+    """``_jump_exponent`` at many xi > 0 at once, stored in the same cache.
+
+    With u = z xi and g(u) = rho(u/xi)/xi, the exponent is
+
+        2 [ int_0^pi 2 sin^2(u/2) g du + int_pi^inf g du
+            - int_pi^inf cos(u) g du ],
+
+    so every row shares one set of u-panels: dyadic shells of (0, 1] and
+    the bridge [1, pi] (the near field), octaves from pi (the far mass)
+    and half periods from pi (the oscillatory part).  Panels are clipped
+    per row to the support [z_min xi, z_max xi]; the trigonometric
+    factors of the unclipped ones are computed once for all rows.  Each
+    panel is a Gauss-Legendre panel and its two halves, and rows go
+    through in chunks of at most ``_CHUNK_DOUBLES`` nodes.  A row is
+    accepted when, with tol = rel_tol times its value:
+
+    * on every panel the halves agree with the whole panel within tol,
+      as in ``adaptive``;
+    * the near shells toward 0 (when z_min = 0) and the far-mass octaves
+      (when z_max = inf) end in a geometric tail whose last two ratios
+      agree below ``RATIO_CAP`` and whose uncertainty is within tol, as
+      in ``integral_to_infinity``; a positive z_min xi must lie above
+      the last shell, and a finite z_max xi inside the half periods, so
+      that no tail is needed there;
+    * with z_max = inf, the repeated averaging of ``cosine_transform``
+      over the last half periods has its bound within tol; with a finite
+      z_max the oscillatory sum is complete.
+
+    Each row's arithmetic is its own, so a value depends only on
+    (nu, xi, rel_tol).  Rows that fail a test (a kinked tabulated
+    density, compact support at large xi) go to the per-point
+    ``_jump_exponent``, which stays the reference.
+    """
+    lo, hi, kind, shared = _panel_table()
+    # the panels must hold the support edges: z_min xi above the last
+    # shell, and z_max xi inside the half periods or else z_min xi below
+    # the averaging window
+    if nu.z_max is not math.inf:
+        fits = nu.z_max * xis <= hi[-1]
+    else:
+        fits = nu.z_min * xis <= math.pi * (_OSC_PANELS - _OSC_WINDOW
+                                            - _OSC_LAG)
+    if nu.z_min > 0.0:
+        fits &= nu.z_min * xis >= lo[_NEAR_SHELLS - 1]
+    out = np.full(xis.size, np.nan)
+    if fits.any():
+        rows = max(1, _CHUNK_DOUBLES // shared.size)
+        out[fits] = np.concatenate([
+            _exponent_rows(nu, chunk, rel_tol, lo, hi, kind, shared)
+            for chunk in np.array_split(xis[fits], -(-fits.sum() // rows))])
+    cache = nu._exponents
+    for i, (xi, value) in enumerate(zip(xis.tolist(), out.tolist())):
+        if math.isnan(value):
+            out[i] = _jump_exponent(nu, xi, rel_tol)
+        else:
+            if len(cache) > 100_000:
+                cache.clear()
+            cache[(xi, rel_tol)] = value
+    return out
+
+
+def _exponent_rows(nu, xi, rel_tol, lo, hi, kind, shared):
+    """Exponents of one chunk of rows; NaN marks a rejected row."""
+    z_lo, z_hi = nu.z_min * xi[:, None], nu.z_max * xi[:, None]
+    row_lo, row_hi = np.clip(lo, z_lo, z_hi), np.clip(hi, z_lo, z_hi)
+    inv = (1.0 / xi)[:, None]
+    vals = np.asarray(nu.density(_nodes(row_lo * inv, row_hi * inv)),
+                      dtype=float)
+    r, p = np.nonzero((row_lo != lo) | (row_hi != hi))
+    moved = vals[:, r, p] * _factors(
+        _nodes(row_lo[r, p], row_hi[r, p])[:, 0], kind[p])
+    vals *= shared
+    vals[:, r, p] = moved
+    vals *= _SPLIT_WEIGHTS
+    sums = vals.reshape(3, 16, *vals.shape[1:]).sum(axis=1)
+    # g(u) = rho(u/xi)/xi: the 1/xi goes on the panel sums
+    sums *= 0.5 * (row_hi - row_lo) * inv
+    refined = sums[1] + sums[2]
+    err = np.abs(refined - sums[0])
+    n_near = _NEAR_SHELLS + 1
+    n_mass = n_near + _MASS_OCTAVES
+    near = refined[:, :n_near - 1]
+    bridge = refined[:, n_near - 1]
+    mass = refined[:, n_near:n_mass]
+    terms = refined[:, n_mass:]
+
+    # a positive z_min xi lies above the last shell, and a finite z_max xi
+    # inside the half periods: those sums are complete, with no tail
+    near_tail = near_unc = mass_tail = mass_unc = osc_bound = 0.0
+    near_ok = far_ok = True
+    if nu.z_min == 0.0:
+        near_tail, near_unc, near_ok = _shrinking_tail(near)
+    partials = np.cumsum(terms, axis=1)
+    osc = partials[:, -1]
+    if nu.z_max is math.inf:
+        mass_tail, mass_unc, far_ok = _shrinking_tail(mass)
+        # the window as a list of columns: one averaging for every row
+        osc, acc_err = _averaged_tail(list(partials[:, -_OSC_WINDOW:].T))
+        osc_mid, _ = _averaged_tail(
+            list(partials[:, -_OSC_WINDOW - _OSC_LAG:-_OSC_LAG].T))
+        # as in cosine_transform: the lag drift extrapolates the bias
+        osc_bound = 4.0 * acc_err + np.abs(osc - osc_mid) \
+            * ((_OSC_PANELS + 1) / _OSC_LAG)
+    half_value = near.sum(axis=1) + near_tail + bridge + mass.sum(axis=1) \
+        + mass_tail - osc
+    with np.errstate(invalid="ignore"):
+        tol = rel_tol * half_value
+        ok = (near_ok & far_ok & (near_unc <= tol) & (mass_unc <= tol)
+              & (osc_bound <= tol) & np.all(err <= tol[:, None], axis=1)
+              & np.isfinite(half_value) & (half_value > 0.0))
+    return np.where(ok, 2.0 * half_value, np.nan)
+
+
 def re_psi(model: LevyModel, xi, rel_tol: float = 1e-8):
-    """RePsi(xi); even, nonnegative, RePsi(0) = 0.  Vectorised over xi."""
+    """RePsi(xi); even, nonnegative, RePsi(0) = 0.  Vectorised over xi.
+
+    For khintchine models the cold |xi| of one call go through
+    ``_jump_exponents`` together; the cached ones are read back.
+    """
     arr = np.asarray(xi, dtype=float)
     a = np.abs(arr)
     if model.kind == "brownian":
@@ -292,8 +500,15 @@ def re_psi(model: LevyModel, xi, rel_tol: float = 1e-8):
     else:
         assert model.nu is not None
         gauss = 0.5 * model.sigma2 * a * a
-        jumps = np.array([_jump_exponent(model.nu, float(v), rel_tol)
-                          for v in a.ravel()]).reshape(a.shape)
+        cache = model.nu._exponents
+        points = a.ravel().tolist()
+        hits = [cache.get((x, rel_tol)) for x in points]
+        cold = sorted({x for x, hit in zip(points, hits)
+                       if hit is None and x != 0.0})
+        fresh = dict(zip(cold, _jump_exponents(
+            model.nu, np.array(cold), rel_tol).tolist())) if cold else {}
+        jumps = np.array([fresh.get(x, 0.0) if hit is None else hit
+                          for x, hit in zip(points, hits)]).reshape(a.shape)
         out = gauss + jumps
     if np.ndim(xi) == 0:
         return float(out)
@@ -391,9 +606,7 @@ def condition_report(model: LevyModel, alpha: float,
         # adaptive refinement at nested-quadrature cost; the smooth
         # interpolant is accurate to ~1e-4 relative, ample for verdicts
         xi_nodes = np.geomspace(1e-4, 2.0 * 2.0**30, 1200)
-        p_nodes = np.array([re_psi(model, float(x), rel_tol=1e-7)
-                            for x in xi_nodes])
-        p_nodes = np.maximum(p_nodes, 1e-300)
+        p_nodes = np.maximum(re_psi(model, xi_nodes, rel_tol=1e-7), 1e-300)
         log_nodes = np.log(xi_nodes)
         log_p = np.log(p_nodes)
 
@@ -421,7 +634,7 @@ def condition_report(model: LevyModel, alpha: float,
         dalang_tail = math.inf
         verdicts["dalang"] = VIOLATED if exc.diverged else INCONCLUSIVE
 
-    psis = np.array([re_psi(model, x) for x in xi_grid])
+    psis = re_psi(model, xi_grid)
     hawkes = [(float(x), float(p / math.log(x)))
               for x, p in zip(xi_grid, psis) if x > 1.0]
     hvals = np.array([v for _, v in hawkes])
@@ -442,12 +655,11 @@ def condition_report(model: LevyModel, alpha: float,
     else:
         verdicts["hawkes"] = INCONCLUSIVE
 
-    quasi = []
-    for z in xi_grid:
-        sup = max(re_psi(model, u)
-                  for u in np.geomspace(z, 2.0 * z, 17))
-        num = re_psi(model, 2.0 * z)
-        quasi.append((float(z), float(num / sup) if sup > 0 else 1.0))
+    sups = np.max(re_psi(model, np.geomspace(xi_grid, 2.0 * xi_grid, 17,
+                                             axis=1)), axis=1)
+    nums = re_psi(model, 2.0 * xi_grid)
+    quasi = [(float(z), float(num / sup) if sup > 0 else 1.0)
+             for z, num, sup in zip(xi_grid, nums, sups)]
     qvals = np.array([v for _, v in quasi])
     qtop = qvals[xi_grid >= xi_grid[-1] / 10.0]
     if np.min(qvals) >= _QUASI_RATIO_MIN and qtop.size >= 2 \

@@ -98,9 +98,27 @@ def adaptive(f: Callable, a: float, b: float, rel_tol: float = 1e-10,
     return total
 
 
-def _ratios_agree(rho: float, rho_prev: float) -> bool:
-    """Consecutive ratios of a geometric tail are close enough to trust."""
-    return abs(rho - rho_prev) <= max(0.002, 0.02 * (1.0 - rho))
+def _ratios_agree(rho, rho_prev):
+    """Consecutive ratios of a geometric tail are close enough to trust.
+
+    Elementwise on arrays of ratios."""
+    return np.abs(rho - rho_prev) <= np.maximum(0.002, 0.02 * (1.0 - rho))
+
+
+def _geometric_tail(j, rho, rho_prev):
+    """The geometric tail past a last term j with term ratios rho (last)
+    and rho_prev (the one before); elementwise on arrays.
+
+    Returns ``(tail, uncertainty, ok)``.  Where the ratios agree below
+    ``RATIO_CAP`` (ok), the tail is j rho/(1 - rho), known to within
+    (|rho - rho_prev| + 1e-12) j/(1 - rho)^2; elsewhere both are 0.
+    """
+    ok = _ratios_agree(rho, rho_prev) & (rho < RATIO_CAP)
+    gap = np.where(ok, 1.0 - rho, 1.0)
+    tail = np.where(ok, j * rho / gap, 0.0)
+    uncertainty = np.where(ok, (np.abs(rho - rho_prev) + 1e-12) * j
+                           / gap ** 2, 0.0)
+    return tail, uncertainty, ok
 
 
 def integral_to_infinity(f: Callable, start: float = 0.0,
@@ -132,15 +150,13 @@ def integral_to_infinity(f: Callable, start: float = 0.0,
         if j_prev is not None and j_prev > 0.0 and j > 0.0:
             rho = j / j_prev
             if rho_prev is not None:
-                drift = abs(rho - rho_prev)
-                stable = _ratios_agree(rho, rho_prev)
-                if stable and rho < RATIO_CAP:
-                    tail = j * rho / (1.0 - rho)
-                    uncertainty = (drift + 1e-12) * j / (1.0 - rho) ** 2
+                tail, uncertainty, ok = _geometric_tail(j, rho, rho_prev)
+                tail, uncertainty = float(tail), float(uncertainty)
+                if ok:
                     if uncertainty <= max(rel_tol * abs(total + tail), 1e-300) \
                             or edge >= cap:
                         return total + tail, uncertainty
-                if stable and rho >= RATIO_CAP:
+                elif _ratios_agree(rho, rho_prev):
                     raise NonConvergenceError(
                         f"{context}: tail octave ratio {rho:.4f} at cutoff "
                         f"{edge:.3g} does not decay", partial=total,
@@ -283,9 +299,10 @@ def dyadic_integral_to_zero(f: Callable, upper: float, rel_tol: float = 1e-9,
         hi = lo
         if j == 0.0 and total >= 0.0:
             return total
-    if rho_prev is not None and rho < RATIO_CAP \
-            and _ratios_agree(rho, rho_prev):
-        return total + j_prev * rho / (1.0 - rho)
+    if rho_prev is not None:
+        tail, _, ok = _geometric_tail(j_prev, rho, rho_prev)
+        if ok:
+            return total + float(tail)
     raise NonConvergenceError(
         f"{context}: no decay after {max_levels} dyadic shells toward 0",
         partial=total, remainder=j_prev, diverged=True)

@@ -5,9 +5,22 @@ import numpy as np
 import pytest
 
 from dynkin_lab.levy import (INCONCLUSIVE, SATISFIED, VIOLATED, LevyMeasure,
-                             LevyModel, averaged_exponent, condition_report,
-                             feller_functions, re_psi,
+                             LevyModel, _jump_exponent, averaged_exponent,
+                             condition_report, feller_functions, re_psi,
                              stable_jump_coefficient)
+
+_TABLE_Z = np.geomspace(0.01, 10.0, 40)
+
+# (sigma2, measure factory): every shape the batched exponent must handle
+_MEASURES = [
+    (0.0, lambda: LevyMeasure.power_law(1.0, 0.5)),
+    (0.0, lambda: LevyMeasure.power_law(1.0, 1.2)),
+    (0.0, lambda: LevyMeasure.power_law(1.0, 1.9)),
+    (0.5, lambda: LevyMeasure.power_law(1.0, 1.0)),
+    (0.0, lambda: LevyMeasure.power_law(1.0, 0.5, z_min=0.5, z_max=8.0)),
+    (0.0, lambda: LevyMeasure.power_law(1.0, 1.5, z_min=5.0)),
+    (0.0, lambda: LevyMeasure.from_table(_TABLE_Z, _TABLE_Z ** -2.5)),
+]
 
 
 def test_stable_closed_form():
@@ -209,3 +222,83 @@ def test_model_validation():
         LevyModel.brownian(-1.0)
     with pytest.raises(ValueError):
         LevyModel.khintchine(-0.1, LevyMeasure.power_law(1.0, 1.5))
+
+
+@pytest.mark.parametrize("sigma2, make", _MEASURES)
+def test_batched_exponents_match_the_oracle(sigma2, make):
+    # Both routes promise rel_tol; the oracle runs at rel_tol/100, so a
+    # value meeting its promise lies within 1.01 rel_tol of it.  Adding the
+    # exact Gaussian part rounds once more, by at most 2^-52 of the sum.
+    rel_tol = 1e-8
+    xis = np.geomspace(1e-4, 2.0**31, 200)
+    got = re_psi(LevyModel.khintchine(sigma2, make()), xis, rel_tol=rel_tol)
+    nu = make()
+    oracle = np.array([_jump_exponent(nu, float(x), rel_tol / 100.0)
+                       for x in xis])
+    want = 0.5 * sigma2 * xis * xis + oracle
+    gate = 1.01 * rel_tol * oracle + 2.0**-52 * want
+    assert np.all(np.abs(got - want) <= gate)
+
+
+@pytest.mark.parametrize("sigma2, make", _MEASURES)
+def test_batched_exponents_do_not_depend_on_call_order(sigma2, make):
+    xis = np.geomspace(1e-4, 2.0**31, 60)
+    whole = re_psi(LevyModel.khintchine(sigma2, make()), xis)
+    one_by_one = LevyModel.khintchine(sigma2, make())
+    singles = np.empty_like(whole)
+    for i in np.random.default_rng(5).permutation(xis.size):
+        singles[i] = re_psi(one_by_one, float(xis[i]))
+    block = re_psi(LevyModel.khintchine(sigma2, make()),
+                   -xis[::-1].reshape(6, 10))
+    assert np.array_equal(whole, singles)
+    assert np.array_equal(whole, block.ravel()[::-1])
+
+
+@pytest.mark.parametrize("z_min, xi", [(0.5, 9.07), (0.5, 20.0),
+                                       (0.1, 10.0 ** (4.0 / 3.0))])
+def test_jump_exponent_support_edge_inside_an_interval(z_min, xi):
+    # the density jumps at z_min.  At xi = 9.07 and 20 it lies inside the
+    # first half period [pi/xi, 2 pi/xi], where one Gauss-Legendre panel
+    # was 2.4% and 1.1% off; at xi = 21.54 it lies inside the bridge
+    # [1/xi, pi/xi], whose adaptive panels missed it (6e-6 off at the
+    # default rel_tol).  Reference: 4000 composite 64-point panels.
+    nu = LevyMeasure.power_law(1.0, 0.5, z_min=z_min, z_max=8.0)
+    x, w = np.polynomial.legendre.leggauss(64)
+    edges = np.linspace(z_min, 8.0, 4001)
+    half = 0.5 * np.diff(edges)[:, None]
+    z = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * x
+    ref = 2.0 * np.sum(half[:, 0] * (((1.0 - np.cos(z * xi)) * z ** -1.5)
+                                     @ w))
+    assert _jump_exponent(nu, xi, 1e-8) == pytest.approx(ref, rel=1e-8)
+
+
+def test_jump_exponent_support_starting_far_out():
+    # z_min = 5 with infinite support: once z_min xi passed 8 pi the far
+    # mass met two empty octaves and stopped at 0 (the exponent read 0 at
+    # xi = 10), and the transform met a block of empty panels.  Reference:
+    # composite 64-point panels of 8 half periods on [5, 2000], the exact
+    # mass beyond, and a cosine tail below 2 top^-2.5/xi, doubled.
+    nu = LevyMeasure.power_law(1.0, 1.5, z_min=5.0)
+    x, w = np.polynomial.legendre.leggauss(64)
+    top = 2000.0
+    for xi in (5.1, 13.0, 60.0):
+        edges = np.append(np.arange(5.0, top, 8.0 * np.pi / xi), top)
+        half = 0.5 * np.diff(edges)[:, None]
+        z = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * x
+        ref = 2.0 * (np.sum(half[:, 0] * (((1.0 - np.cos(z * xi))
+                                            * z ** -2.5) @ w))
+                     + top ** -1.5 / 1.5)
+        got = _jump_exponent(nu, xi, 1e-10)
+        assert abs(got - ref) <= 1e-8 * ref + 4.0 * top ** -2.5 / xi
+
+
+def test_canonical_measure_is_built_once():
+    m = LevyModel.stable(1.5, 1.0)
+    assert m.canonical_measure() is m.canonical_measure()
+    # the kg table reads the same numbers as with a fresh measure per eps
+    rep = condition_report(m, 1.0)
+    fresh = []
+    for e in np.geomspace(1e-6, 1.0, 49):
+        k_val, g_val = feller_functions(LevyModel.stable(1.5, 1.0), float(e))
+        fresh.append((float(e), float(g_val / k_val)))
+    assert rep.kg_ratio == fresh

@@ -238,3 +238,34 @@ def test_path_stream_contract():
                               [0.49950000000000006, 0.6187499999999997]]
     assert ses.tolist() == [[0.03392594877081553, 0.03542152858785177],
                             [0.04005619490166283, 0.046773974467646015]]
+
+
+def test_path_bandwidth_guard_does_not_depend_on_the_seed():
+    # the guard once read the first path's median step; under an
+    # exponential clock that path can be a few steps long, and this config
+    # raised BandwidthError for 0, 2 and 13 of these 100 seeds
+    cfg = PathConfig(1.5, 0.5, 1e-3)
+    for alpha in (1.0, 20.0, 200.0):
+        for s in range(100):
+            resolvent_check(cfg, alpha, 0.0, 0.0, paths=2, seed=s)
+
+
+def test_path_bandwidth_guard_reads_the_law():
+    # the guard compares eps with the step scale m = (2 c dt)^(1/beta),
+    # before any path is drawn, so every seed and every estimator gets the
+    # same verdict: 2.5 m over-smooths, m/8 is below the step resolution
+    for beta, c in ((1.5, 0.5), (2.0, 2.0)):
+        m = (2.0 * c * 1e-3) ** (1.0 / beta)
+        for eps, match in ((2.5 * m, "over-smoothing"),
+                           (m / 8.0, "step resolution")):
+            cfg = PathConfig(beta, c, 1e-3, eps=eps)
+            for s in range(5):
+                with pytest.raises(BandwidthError, match=match):
+                    resolvent_check(cfg, 20.0, 0.0, 0.0, paths=2, seed=s)
+                with pytest.raises(BandwidthError, match=match):
+                    corollary_test(cfg, 20.0, 0.0, 0.5, 0.05, paths=2,
+                                   seed=s)
+                with pytest.raises(BandwidthError, match=match):
+                    mean_local_times(cfg, [0.0], [0.01], paths=2, seed=s)
+        resolvent_check(PathConfig(beta, c, 1e-3, eps=m), 20.0, 0.0, 0.0,
+                        paths=2, seed=0)
