@@ -34,21 +34,6 @@ _NU_KEYS = {
     "table": {"family", "z", "rho"},
 }
 
-_SECTION_KEYS = {
-    "check": {"alpha", "xi_min", "xi_max", "eps_min", "eps_max",
-              "points_per_decade"},
-    "kernel": {"alphas", "ts", "rs", "tolerance"},
-    "synth": {"alpha", "t", "grid", "x_points", "x_step", "replications",
-              "derivative_order", "lags"},
-    "spde": {"circumference", "modes", "alpha", "dt", "t_end", "paths",
-             "probes"},
-    "localtime": {"experiment", "beta", "c", "alpha", "a", "b", "t", "dt",
-                  "eps", "paths"},
-    "verify": {"suites", "paths_scale", "tolerance_scale"},
-}
-_GRID_KEYS = {"cutoff", "modes"}
-_TOP_KEYS = {"model", "seed", "out_dir"} | set(_SECTION_KEYS)
-
 _DEFAULTS = {
     "seed": 12345,
     "out_dir": "out",
@@ -68,6 +53,10 @@ _DEFAULTS = {
     "verify": {"suites": list(SUITES), "paths_scale": 1.0,
                "tolerance_scale": 1.0},
 }
+_SECTION_KEYS = {name: set(sec) for name, sec in _DEFAULTS.items()
+                 if isinstance(sec, dict)}
+_GRID_KEYS = {"cutoff", "modes"}
+_TOP_KEYS = {"model", "seed", "out_dir"} | set(_SECTION_KEYS)
 
 
 @dataclass

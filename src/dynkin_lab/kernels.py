@@ -25,6 +25,9 @@ from .quadrature import (NonConvergenceError, cosine_transform,
                          integral_to_infinity)
 
 KERNEL_KINDS = ("potential", "pbar", "varV", "varS", "varU")
+# midpoint grid of the "grid" route of quadratic_form
+GRID_CUTOFF = 2.0**15
+GRID_MODES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -248,9 +251,7 @@ def variance_profile(model: LevyModel, query: KernelQuery) -> VarianceProfile:
 
 def quadratic_form(model: LevyModel, alpha: float | None, mu: AtomicMeasure,
                    kernel: str = "potential", t: float | None = None,
-                   route: str = "pairs", rel_tol: float = 1e-9,
-                   grid_cutoff: float = 2.0**15,
-                   grid_modes: int = 1 << 21) -> float:
+                   route: str = "pairs", rel_tol: float = 1e-9) -> float:
     """sum_ij c_i c_j k(x_i - x_j) for the selected scalar kernel.
 
     The operative route ("pairs") double-sums exact kernel quadratures.  The
@@ -276,13 +277,13 @@ def quadratic_form(model: LevyModel, alpha: float | None, mu: AtomicMeasure,
         return total
     if route == "grid":
         env = spectral_envelope(kernel, model, alpha, t)
-        dxi = grid_cutoff / grid_modes
-        xi = (np.arange(grid_modes) + 0.5) * dxi
+        dxi = GRID_CUTOFF / GRID_MODES
+        xi = (np.arange(GRID_MODES) + 0.5) * dxi
         body = float(np.sum(env(xi) * mu.fourier_sq(xi))) * dxi / math.pi
         # beyond the cutoff |mu_hat|^2 averages to sum c_i^2
         w2 = float(np.sum(mu.weights**2))
         tail_env, _ = integral_to_infinity(
-            env, grid_cutoff, first_edge=2.0 * grid_cutoff, rel_tol=1e-8,
+            env, GRID_CUTOFF, first_edge=2.0 * GRID_CUTOFF, rel_tol=1e-8,
             context="quadratic form tail")
         return body + w2 * tail_env / math.pi
     raise ValueError("route must be 'pairs' or 'grid'")

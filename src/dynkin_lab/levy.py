@@ -77,26 +77,16 @@ class LevyMeasure:
             return out
 
         try:
-            lo = max(z_min, 0.0)
-            if lo > 0.0:
-                small = adaptive(lambda z: z * z * clipped(z), lo,
-                                 min(1.0, z_max)) if lo < 1.0 else 0.0
-            else:
-                small = dyadic_integral_to_zero(
-                    lambda z: z * z * clipped(z), min(1.0, z_max),
-                    context="second moment of jump density near 0")
+            small = _integral(lambda z: z * z * clipped(z), z_min,
+                              min(1.0, z_max), 1e-10,
+                              "second moment of jump density near 0")
         except NonConvergenceError as exc:
             raise ValueError(
                 f"jump density is not integrable against z^2 near 0: {exc}"
             ) from exc
         try:
-            if z_max is not math.inf:
-                tail = adaptive(clipped, max(1.0, z_min), z_max) \
-                    if z_max > 1.0 else 0.0
-            else:
-                tail, _ = integral_to_infinity(
-                    clipped, max(1.0, z_min), first_edge=max(2.0, 2 * z_min),
-                    context="jump density tail")
+            tail = _integral(clipped, max(1.0, z_min), z_max, 1e-10,
+                             "jump density tail")
         except NonConvergenceError as exc:
             raise ValueError(
                 f"jump density has non-integrable tail: {exc}") from exc
@@ -218,6 +208,22 @@ class LevyModel:
         return float(np.clip(math.log(hi / lo) / math.log(4.0), 0.1, 2.0))
 
 
+def _integral(f: Callable, lo: float, hi: float, rel_tol: float,
+              context: str) -> float:
+    """int_lo^hi f for a nonnegative f on (part of) a measure's support:
+    dyadic shells toward an origin singularity when lo = 0, octaves from
+    2 lo when hi = inf, and ``adaptive`` otherwise; 0 when hi <= lo."""
+    if hi <= lo:
+        return 0.0
+    if lo == 0.0:
+        return dyadic_integral_to_zero(f, hi, rel_tol=rel_tol,
+                                       context=context)
+    if hi == math.inf:
+        return integral_to_infinity(f, lo, rel_tol=rel_tol,
+                                    first_edge=2.0 * lo, context=context)[0]
+    return adaptive(f, lo, hi, rel_tol=rel_tol)
+
+
 def _jump_exponent(nu: LevyMeasure, xi: float, rel_tol: float) -> float:
     """2 int_0^inf (1 - cos(z xi)) rho(z) dz, split at z = 1/xi.
 
@@ -234,16 +240,13 @@ def _jump_exponent(nu: LevyMeasure, xi: float, rel_tol: float) -> float:
     if xi == 0.0:
         return 0.0
     split = min(1.0 / xi, nu.z_max)
-    near = 0.0
-    if split > nu.z_min:
-        def near_f(z):
-            s = np.sin(0.5 * z * xi)
-            return 2.0 * s * s * nu.density(z)
-        if nu.z_min > 0.0:
-            near = adaptive(near_f, nu.z_min, split, rel_tol=rel_tol)
-        else:
-            near = dyadic_integral_to_zero(near_f, split, rel_tol=rel_tol,
-                                           context="jump exponent near field")
+
+    def near_f(z):
+        s = np.sin(0.5 * z * xi)
+        return 2.0 * s * s * nu.density(z)
+
+    near = _integral(near_f, nu.z_min, split, rel_tol,
+                     "jump exponent near field")
     far = 0.0
     edge = min(math.pi / xi, nu.z_max)
     # no interval may straddle z_min, where the density jumps: adaptive
@@ -253,7 +256,7 @@ def _jump_exponent(nu: LevyMeasure, xi: float, rel_tol: float) -> float:
         far += adaptive(lambda z: (1.0 - np.cos(z * xi)) * nu.density(z),
                         bridge, edge, rel_tol=rel_tol)
     if edge < nu.z_max:
-        if nu.z_max is not math.inf:
+        if nu.z_max != math.inf:
             start = max(edge, nu.z_min)
             n_half = int(math.ceil((nu.z_max - start) * xi / math.pi))
             if n_half <= 20_000:
@@ -280,11 +283,8 @@ def _jump_exponent(nu: LevyMeasure, xi: float, rel_tol: float) -> float:
         else:
             # an empty first octave or block of panels would also end
             # either integral with 0
-            lo = max(edge, nu.z_min)
-            mass, _ = integral_to_infinity(nu.density, lo,
-                                           first_edge=2.0 * lo,
-                                           rel_tol=rel_tol,
-                                           context="jump measure far mass")
+            mass = _integral(nu.density, max(edge, nu.z_min), math.inf,
+                             rel_tol, "jump measure far mass")
             if nu.z_min <= edge:
                 osc, _ = cosine_transform(
                     lambda z: np.where(z > edge, nu.density(z), 0.0), xi,
@@ -409,7 +409,7 @@ def _jump_exponents(nu: LevyMeasure, xis: np.ndarray,
     # the panels must hold the support edges: z_min xi above the last
     # shell, and z_max xi inside the half periods or else z_min xi below
     # the averaging window
-    if nu.z_max is not math.inf:
+    if nu.z_max != math.inf:
         fits = nu.z_max * xis <= hi[-1]
     else:
         fits = nu.z_min * xis <= math.pi * (_OSC_PANELS - _OSC_WINDOW
@@ -466,7 +466,7 @@ def _exponent_rows(nu, xi, rel_tol, lo, hi, kind, shared):
         near_tail, near_unc, near_ok = _shrinking_tail(near)
     partials = np.cumsum(terms, axis=1)
     osc = partials[:, -1]
-    if nu.z_max is math.inf:
+    if nu.z_max == math.inf:
         mass_tail, mass_unc, far_ok = _shrinking_tail(mass)
         # the window as a list of columns: one averaging for every row
         osc, acc_err = _averaged_tail(list(partials[:, -_OSC_WINDOW:].T))
@@ -492,7 +492,9 @@ def re_psi(model: LevyModel, xi, rel_tol: float = 1e-8):
     ``_jump_exponents`` together; the cached ones are read back.
     """
     arr = np.asarray(xi, dtype=float)
-    a = np.abs(arr)
+    # a scalar goes through the array loops too: numpy's scalar power can
+    # round differently in the last bit
+    a = np.abs(np.atleast_1d(arr))
     if model.kind == "brownian":
         out = model.kappa * a * a
     elif model.kind == "stable":
@@ -510,6 +512,7 @@ def re_psi(model: LevyModel, xi, rel_tol: float = 1e-8):
         jumps = np.array([fresh.get(x, 0.0) if hit is None else hit
                           for x, hit in zip(points, hits)]).reshape(a.shape)
         out = gauss + jumps
+    out = out.reshape(arr.shape)
     if np.ndim(xi) == 0:
         return float(out)
     return out
@@ -526,27 +529,11 @@ def feller_functions(model: LevyModel, eps: float,
     if eps <= 0:
         raise ValueError("eps must be > 0")
     nu = model.canonical_measure()
-    upper = min(eps, nu.z_max)
-    if upper <= nu.z_min:
-        k_val = 0.0
-    elif nu.z_min > 0.0:
-        k_val = adaptive(lambda z: z * z * nu.density(z), nu.z_min, upper,
-                         rel_tol=rel_tol)
-    else:
-        k_val = dyadic_integral_to_zero(lambda z: z * z * nu.density(z),
-                                        upper, rel_tol=rel_tol,
-                                        context="K(eps)")
-    k_val *= 2.0 / (eps * eps)
-    lower = max(eps, nu.z_min)
-    if lower >= nu.z_max:
-        g_val = 0.0
-    elif nu.z_max is not math.inf:
-        g_val = adaptive(nu.density, lower, nu.z_max, rel_tol=rel_tol)
-    else:
-        g_val, _ = integral_to_infinity(nu.density, lower,
-                                        first_edge=2.0 * lower,
-                                        rel_tol=rel_tol, context="G(eps)")
-    return k_val, 2.0 * g_val
+    k_val = _integral(lambda z: z * z * nu.density(z), nu.z_min,
+                      min(eps, nu.z_max), rel_tol, "K(eps)")
+    g_val = _integral(nu.density, max(eps, nu.z_min), nu.z_max, rel_tol,
+                      "G(eps)")
+    return k_val * (2.0 / (eps * eps)), 2.0 * g_val
 
 
 def averaged_exponent(model: LevyModel, xi: float,

@@ -5,10 +5,12 @@ Three building blocks cover everything the package needs:
 * ``adaptive`` -- Gauss-Legendre panels with adaptive bisection on a finite
   interval (handles integrable endpoint singularities by refining toward
   them, up to a fixed depth budget).
-* ``integral_to_infinity`` -- octave-doubling continuation of a nonnegative
-  integrand with a geometric tail extrapolation.  Divergence (octave ratio
-  near or above one) raises :class:`NonConvergenceError` instead of hanging,
-  which is how an existence-condition failure becomes observable.
+* ``integral_to_infinity`` and ``dyadic_integral_to_zero`` -- octaves
+  toward infinity and dyadic shells toward 0 of a nonnegative integrand,
+  walked by one ``_shell_walk`` with one geometric tail rule.  Divergence
+  (shell ratio near or above one) raises :class:`NonConvergenceError`
+  instead of hanging, which is how an existence-condition failure becomes
+  observable.
 * ``cosine_transform`` -- oscillation-aware evaluation of
   ``int_0^inf cos(xi*r) env(xi) dxi`` using half-period panels and repeated
   averaging of the alternating partial sums.
@@ -18,6 +20,7 @@ All integrand callables must accept and return numpy arrays.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -29,8 +32,14 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(GL_ORDER)
 # without tail stabilisation is reported, never silently truncated.
 OCTAVE_START = 2.0**10
 OCTAVE_CAP = 2.0**30
-RATIO_CAP = 0.985  # octave ratios above this are treated as non-convergent
+RATIO_CAP = 0.985  # shell ratios above this are treated as non-convergent
 RATIO_DIVERGED = 0.997  # ... and above this as numerically divergent
+DYADIC_SHELLS = 200  # shells toward 0 walked before giving up
+# adaptive bisection: depth past which a panel is accepted as refined, and
+# the panel budgets of adaptive and of the oscillatory half periods
+ADAPTIVE_DEPTH = 30
+ADAPTIVE_PANELS = 50_000
+COSINE_PANELS = 400_000
 
 
 class NonConvergenceError(ArithmeticError):
@@ -57,12 +66,11 @@ def gl_panel(f: Callable, a: float, b: float) -> float:
 
 
 def adaptive(f: Callable, a: float, b: float, rel_tol: float = 1e-10,
-             abs_tol: float = 0.0, max_depth: int = 30,
-             max_panels: int = 50_000) -> float:
+             abs_tol: float = 0.0) -> float:
     """Adaptive bisection with Gauss-Legendre panels.
 
     A panel is accepted when the whole-panel estimate agrees with the sum of
-    its halves; otherwise both halves are pushed, down to ``max_depth``
+    its halves; otherwise both halves are pushed, down to ``ADAPTIVE_DEPTH``
     levels.  Depth exhaustion accepts the refined value (the leftover panel
     discrepancy is below the panel's own resolution at that point), which is
     the documented behaviour for integrable endpoint singularities.  The
@@ -79,9 +87,9 @@ def adaptive(f: Callable, a: float, b: float, rel_tol: float = 1e-10,
     used = 0
     while stack:
         used += 1
-        if used > max_panels:
+        if used > ADAPTIVE_PANELS:
             raise NonConvergenceError(
-                f"adaptive panel budget {max_panels} exhausted on "
+                f"adaptive panel budget {ADAPTIVE_PANELS} exhausted on "
                 f"[{a:.3g}, {b:.3g}]", partial=total)
         lo, hi, est, depth = stack.pop()
         mid = 0.5 * (lo + hi)
@@ -90,7 +98,7 @@ def adaptive(f: Callable, a: float, b: float, rel_tol: float = 1e-10,
         refined = left + right
         scale = max(scale, abs(total) + abs(refined))
         err = abs(refined - est)
-        if err <= max(rel_tol * scale, abs_tol) or depth >= max_depth:
+        if err <= max(rel_tol * scale, abs_tol) or depth >= ADAPTIVE_DEPTH:
             total += refined
         else:
             stack.append((lo, mid, left, depth + 1))
@@ -121,32 +129,29 @@ def _geometric_tail(j, rho, rho_prev):
     return tail, uncertainty, ok
 
 
-def integral_to_infinity(f: Callable, start: float = 0.0,
-                         rel_tol: float = 1e-10,
-                         first_edge: float | None = None,
-                         cap: float = OCTAVE_CAP,
-                         context: str = "integral") -> tuple[float, float]:
-    """Integrate a (eventually monotone, nonnegative) f on [start, inf).
+def _shell_walk(f: Callable, total: float, edge: float, step: float,
+                shells: int, rel_tol: float,
+                context: str) -> tuple[float, float]:
+    """Add the shells [edge, edge*step], [edge*step, edge*step^2], ... of f
+    to ``total`` until they end in a geometric tail.
 
-    Returns ``(value, tail_uncertainty)``.  The base interval
-    [start, first_edge] is handled adaptively, then octaves [E, 2E] are added
-    until the geometric tail extrapolation stabilises:  when consecutive
-    octave ratios agree and sit safely below one, the remaining tail is
-    ``J * rho / (1 - rho)`` with uncertainty driven by the observed ratio
-    drift.  Persistent ratios above ``RATIO_CAP`` raise
-    :class:`NonConvergenceError` with ``diverged`` set when they exceed
-    ``RATIO_DIVERGED``.
+    Returns ``(value, tail_uncertainty)``.  Once the last two shell ratios
+    agree below ``RATIO_CAP`` the tail is ``_geometric_tail``'s, taken when
+    its uncertainty is within rel_tol of the value or when this was the
+    last of ``shells`` shells; agreeing ratios at or above ``RATIO_CAP``
+    raise :class:`NonConvergenceError` (``diverged`` at or above
+    ``RATIO_DIVERGED``), and so does running out of shells without a tail.
+    A zero shell ends the walk once the total is nonzero, and otherwise a
+    second zero shell in a row does (the support may not have begun).
     """
-    if first_edge is None:
-        first_edge = max(OCTAVE_START, 2.0 * abs(start) + OCTAVE_START)
-    total = adaptive(f, start, first_edge, rel_tol=rel_tol)
-    edge = first_edge
     j_prev = None
     rho_prev = None
-    while edge < cap:
-        j = adaptive(f, edge, 2.0 * edge, rel_tol=max(rel_tol, 1e-12))
+    for n in range(shells):
+        nxt = edge * step
+        j = adaptive(f, min(edge, nxt), max(edge, nxt),
+                     rel_tol=max(rel_tol, 1e-12))
         total += j
-        edge *= 2.0
+        edge = nxt
         if j_prev is not None and j_prev > 0.0 and j > 0.0:
             rho = j / j_prev
             if rho_prev is not None:
@@ -154,12 +159,12 @@ def integral_to_infinity(f: Callable, start: float = 0.0,
                 tail, uncertainty = float(tail), float(uncertainty)
                 if ok:
                     if uncertainty <= max(rel_tol * abs(total + tail), 1e-300) \
-                            or edge >= cap:
+                            or n == shells - 1:
                         return total + tail, uncertainty
                 elif _ratios_agree(rho, rho_prev):
                     raise NonConvergenceError(
-                        f"{context}: tail octave ratio {rho:.4f} at cutoff "
-                        f"{edge:.3g} does not decay", partial=total,
+                        f"{context}: shell ratio {rho:.4f} at {edge:.3g} "
+                        f"does not decay", partial=total,
                         remainder=j / max(1e-12, 1.0 - min(rho, 0.9999)),
                         diverged=rho >= RATIO_DIVERGED)
             rho_prev = rho
@@ -167,8 +172,28 @@ def integral_to_infinity(f: Callable, start: float = 0.0,
             return total, 0.0
         j_prev = j
     raise NonConvergenceError(
-        f"{context}: no tail stabilisation below cutoff cap {cap:.3g}",
+        f"{context}: no geometric tail within {shells} shells, at {edge:.3g}",
         partial=total, remainder=j_prev)
+
+
+def integral_to_infinity(f: Callable, start: float = 0.0,
+                         rel_tol: float = 1e-10,
+                         first_edge: float | None = None,
+                         context: str = "integral") -> tuple[float, float]:
+    """Integrate a (eventually monotone, nonnegative) f on [start, inf).
+
+    Returns ``(value, tail_uncertainty)``.  The base interval
+    [start, first_edge] is handled adaptively, then octaves [E, 2E] below
+    ``OCTAVE_CAP`` are walked by ``_shell_walk`` until the geometric tail
+    extrapolation stabilises; a divergent tail raises
+    :class:`NonConvergenceError`.
+    """
+    if first_edge is None:
+        first_edge = max(OCTAVE_START, 2.0 * abs(start) + OCTAVE_START)
+    # octaves E 2^k with E 2^k < OCTAVE_CAP, a power of two
+    octaves = math.frexp(OCTAVE_CAP)[1] - math.frexp(first_edge)[1]
+    return _shell_walk(f, adaptive(f, start, first_edge, rel_tol=rel_tol),
+                       first_edge, 2.0, octaves, rel_tol, context)
 
 
 def _averaged_tail(partials: list[float]) -> tuple[float, float]:
@@ -188,7 +213,7 @@ def _averaged_tail(partials: list[float]) -> tuple[float, float]:
 
 
 def cosine_transform(env: Callable, r: float, rel_tol: float = 1e-9,
-                     abs_tol: float = 0.0, max_panels: int = 400_000,
+                     abs_tol: float = 0.0,
                      context: str = "cosine transform") -> tuple[float, float]:
     """Evaluate ``int_0^inf cos(xi*r) env(xi) dxi`` for a decaying envelope.
 
@@ -220,7 +245,7 @@ def cosine_transform(env: Callable, r: float, rel_tol: float = 1e-9,
     block = 32
     half_block = block // 2
     mids_unit = 0.5 * (_GL_NODES + 1.0)
-    while k < max_panels:
+    while k < COSINE_PANELS:
         lows = h * (k + np.arange(block))
         pts = lows[:, None] + h * mids_unit[None, :]
         vals = np.cos(pts * r) * env(pts)
@@ -264,46 +289,13 @@ def cosine_transform(env: Callable, r: float, rel_tol: float = 1e-9,
 
 
 def dyadic_integral_to_zero(f: Callable, upper: float, rel_tol: float = 1e-9,
-                            max_levels: int = 200,
                             context: str = "integral") -> float:
     """Integrate f on (0, upper] when f may blow up (integrably) at 0.
 
-    Dyadic shells [upper*2^-(m+1), upper*2^-m] are accumulated until they
-    decay geometrically and the remaining mass is below tolerance.  Shells
-    that shrink too slowly to get there within ``max_levels`` (z^2 rho for
-    a power law rho ~ z^(-1-beta) with beta near 2) take the geometric
-    remainder of ``integral_to_infinity`` once their last two ratios agree
-    below ``RATIO_CAP``; shells that fail to decay raise
+    At most ``DYADIC_SHELLS`` shells [upper 2^-(m+1), upper 2^-m] are walked
+    by ``_shell_walk``; shells that fail to decay raise
     :class:`NonConvergenceError` (the integrand is not integrable at the
     origin at working precision).
     """
-    total = 0.0
-    j_prev = rho = rho_prev = None
-    hi = upper
-    for _ in range(max_levels):
-        lo = 0.5 * hi
-        j = adaptive(f, lo, hi, rel_tol=max(rel_tol, 1e-12))
-        total += j
-        if j_prev is not None and j > 0.0:
-            rho_prev, rho = rho, (j / j_prev if j_prev > 0 else 0.0)
-            if rho < 0.97:
-                est_tail = j * rho / (1.0 - rho) if rho > 0 else 0.0
-                if est_tail <= rel_tol * max(abs(total), 1e-300):
-                    return total + est_tail
-            elif rho > 1.02:
-                raise NonConvergenceError(
-                    f"{context}: dyadic shells grow toward 0 "
-                    f"(ratio {rho:.3f})", partial=total, remainder=j,
-                    diverged=True)
-        j_prev = j
-        hi = lo
-        if j == 0.0 and total >= 0.0:
-            return total
-    if rho_prev is not None:
-        tail, _, ok = _geometric_tail(j_prev, rho, rho_prev)
-        if ok:
-            return total + float(tail)
-    raise NonConvergenceError(
-        f"{context}: no decay after {max_levels} dyadic shells toward 0",
-        partial=total, remainder=j_prev, diverged=True)
-
+    return _shell_walk(f, 0.0, upper, 0.5, DYADIC_SHELLS, rel_tol,
+                       context)[0]

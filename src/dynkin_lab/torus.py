@@ -202,8 +202,7 @@ class MomentReport:
 
 
 def run_moments(cfg: TorusConfig, model: LevyModel, t_end: float,
-                paths: int, probes, seed: int = 0,
-                enforce_image_bound: bool = True) -> MomentReport:
+                paths: int, probes, seed: int = 0) -> MomentReport:
     """Ensemble moments at probe points, observed at t_end/2 and t_end.
 
     Each path evolves its own counter-based stream; the stationarity
@@ -228,7 +227,7 @@ def run_moments(cfg: TorusConfig, model: LevyModel, t_end: float,
     image = None
     if cfg.alpha > 0:
         image = image_sum_correction(cfg, model)
-        if enforce_image_bound and image > 0.01:
+        if image > 0.01:
             raise ValueError(
                 f"torus too small: image-sum correction {image:.3%} "
                 "exceeds 1% of the kernel at the origin")

@@ -43,6 +43,17 @@ def test_evenness_closed_forms():
             assert re_psi(m, x) == re_psi(m, -x)
 
 
+def test_closed_forms_do_not_depend_on_how_xi_is_passed():
+    # numpy's scalar power and its array loop can differ in the last bit
+    xs = np.geomspace(2.0, 2.0**24, 70)
+    for m in (LevyModel.stable(1.5, 1.0), LevyModel.stable(1.2, 2.0),
+              LevyModel.brownian(0.7)):
+        whole = re_psi(m, xs).tolist()
+        assert [re_psi(m, float(x)) for x in xs] == whole
+        assert [re_psi(m, np.float64(x)) for x in xs] == whole
+        assert re_psi(m, xs[::-1]).tolist() == whole[::-1]
+
+
 def test_evenness_khintchine():
     nu = LevyMeasure.power_law(0.5, 1.5)
     m = LevyModel.khintchine(0.3, nu)
@@ -197,6 +208,22 @@ def test_measure_rejects_non_integrable():
     with pytest.raises(ValueError):
         LevyMeasure.from_density(lambda z: np.full_like(z, 0.1), 0.0,
                                  math.inf)  # non-integrable tail
+
+
+def test_infinite_support_given_as_any_inf():
+    # the support's upper end is compared by value: float("inf") and
+    # np.inf are not the object math.inf
+    ref = LevyModel.khintchine(
+        0.0, LevyMeasure.power_law(1.0, 0.5, z_min=5.0, z_max=math.inf))
+    for inf in (float("inf"), np.inf):
+        m = LevyModel.khintchine(
+            0.0, LevyMeasure.power_law(1.0, 0.5, z_min=5.0, z_max=inf))
+        assert m.nu.tail_weight == ref.nu.tail_weight
+        assert feller_functions(m, 8.0) == feller_functions(ref, 8.0)
+        xs = np.geomspace(0.1, 100.0, 7)
+        assert re_psi(m, xs).tolist() == re_psi(ref, xs).tolist()
+        assert _jump_exponent(m.nu, 3.0, 1e-9) \
+            == _jump_exponent(ref.nu, 3.0, 1e-9)
 
 
 def test_measure_rejects_negative_density():

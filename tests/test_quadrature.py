@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from dynkin_lab import quadrature
+from dynkin_lab.levy import LevyMeasure
 from dynkin_lab.quadrature import (NonConvergenceError, adaptive,
                                    cosine_transform, dyadic_integral_to_zero,
                                    integral_to_infinity)
@@ -81,11 +83,30 @@ def test_cosine_transform_slow_power_parts_oracle():
     assert val == pytest.approx(oracle, abs=1e-10)
 
 
-def test_dyadic_singular_integral():
-    val = dyadic_integral_to_zero(lambda z: z ** -0.5, 1.0, rel_tol=1e-10)
-    assert val == pytest.approx(2.0, rel=1e-8)
+def test_dyadic_singular_integral(monkeypatch):
+    # z^(1-beta) on (0, 1]: the shells shrink by 2^-(2-beta) each, only
+    # 0.933 at beta = 1.9, and end in an exact geometric tail once two
+    # ratios agree, a few shells in
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return adaptive(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "adaptive", counted)
+    for beta in (1.5, 1.9):
+        calls.clear()
+        val = dyadic_integral_to_zero(lambda z: z ** (1.0 - beta), 1.0,
+                                      rel_tol=1e-10)
+        assert val == pytest.approx(1.0 / (2.0 - beta), rel=1e-12)
+        assert len(calls) <= 8
 
 
 def test_dyadic_divergence_rejected():
     with pytest.raises(NonConvergenceError):
         dyadic_integral_to_zero(lambda z: 1.0 / z, 1.0)
+    # shell ratio 2^-0.02 = 0.986, at or above RATIO_CAP
+    with pytest.raises(NonConvergenceError):
+        dyadic_integral_to_zero(lambda z: z ** -0.98, 1.0)
+    with pytest.raises(ValueError):
+        LevyMeasure.power_law(1.0, 1.98)  # z^2 rho = z^-0.98
