@@ -11,11 +11,27 @@ counter-based streams, so a sample is a pure function of
 amplitude streams and eta = V + S holds exactly, pointwise, by construction.
 Derivative fields reuse the S amplitudes with the n-fold cos/sin phase rule,
 making them the exact spectral derivatives of the synthesised S.
+
+A gridded field is one FFT when its grid allows it: with x_j = x0 + j dx
+and N = 2 pi / (dx dxi) an integer to rounding, xi_k x_j = xi_k x0 +
+2 pi (k + 1/2) j / N, so
+
+    F(x_j) = Re[exp(i pi j / N) sum_k c_k exp(2 pi i k j / N)],
+    c_k = amp_k (A_k - i B_k) exp(i (xi_k x0 + phase)),
+
+and the sum is an N-point inverse FFT read at j mod N.  The FFT is taken
+only when N log2 N <= (points x modes); every other x takes the dense
+cos/sin product, which stays the oracle.  Ensembles at probe points use
+the dense product; each amplitude row is filled in place from its own
+stream, with the rows of a batch split over one thread per core.  A row's
+values do not depend on the thread that fills it, so ensembles are
+bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,13 +154,59 @@ def _amplitudes(kind, model, alpha, t, grid, derivative_order=0):
     return np.sqrt(2.0 * f * grid.delta_xi)
 
 
-def _mode_normals(seed, replicate, component, n_modes):
-    # mode k is the k-th variate of the (seed, replicate, component) stream
+def _mode_normals(seed, replicate, component, n_modes, out=None):
+    # mode k is the k-th variate of the (seed, replicate, component) stream;
+    # with out= the row is filled in place, and the fill releases the GIL
     return rng.stream(seed, rng.DOMAIN_FIELD, replicate,
-                      component).standard_normal(n_modes)
+                      component).standard_normal(n_modes, out=out)
 
 
-def _synthesise(amp, freqs, x, a, b, phase=0.0):
+def _workers() -> int:
+    """Threads that fill amplitude rows: the cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _derivative_order(n) -> int:
+    if n < 0 or n != int(n):
+        raise ValueError(
+            f"derivative_order must be a non-negative integer, got {n!r}")
+    return int(n)
+
+
+def _fft_length(x: np.ndarray, grid: SpectralGrid) -> int | None:
+    """N when x is the grid x0 + j 2 pi / (N dxi) to rounding and an N-point
+    FFT costs no more than the dense product; otherwise None."""
+    n = x.size
+    if x.ndim != 1 or n < 2 or not x[-1] > x[0]:
+        return None
+    ratio = 2.0 * math.pi * (n - 1) / ((x[-1] - x[0]) * grid.delta_xi)
+    # the cost rule bounds N by points x modes, so round() sees a finite N
+    if not 2 <= ratio <= n * grid.n_modes:
+        return None
+    n_fft = round(ratio)
+    if n_fft * math.log2(n_fft) > n * grid.n_modes:
+        return None
+    dx = 2.0 * math.pi / (n_fft * grid.delta_xi)
+    err = float(np.max(np.abs(x - (x[0] + np.arange(n) * dx))))
+    tol = 4.0 * np.finfo(float).eps * (abs(x[0]) + abs(x[-1]))
+    return n_fft if err <= tol else None
+
+
+def _synthesise(amp, grid: SpectralGrid, x, a, b, phase=0.0):
+    n_fft = _fft_length(x, grid)
+    if n_fft is None:
+        return _synthesise_dense(amp, grid.frequencies, x, a, b, phase)
+    c = amp * (a - 1j * b) * np.exp(1j * (grid.frequencies * x[0] + phase))
+    # modes k and k + N share the root of unity exp(2 pi i k j / N)
+    c = np.pad(c, (0, -c.size % n_fft)).reshape(-1, n_fft).sum(axis=0)
+    sums = np.fft.ifft(c, norm="forward")
+    j = np.arange(x.size)
+    return (np.exp(1j * math.pi * j / n_fft) * sums[j % n_fft]).real
+
+
+def _synthesise_dense(amp, freqs, x, a, b, phase=0.0):
     arg = np.outer(x, freqs) + phase
     return (np.cos(arg) @ (amp * a)) + (np.sin(arg) @ (amp * b))
 
@@ -156,10 +218,13 @@ def sample_joint(model: LevyModel, alpha: float, t: float,
 
     V and S use independent amplitude streams; eta is the exact pointwise
     sum.  The optional derivative field reuses the S amplitudes with phase
-    n*pi/2 and amplitude factor xi^n.
+    n*pi/2 and amplitude factor xi^n; n must be a non-negative integer.
+    On a uniform grid that the FFT rule accepts, each field is one FFT.
     """
     if alpha <= 0 or t <= 0:
         raise ValueError("need alpha > 0 and t > 0")
+    if derivative_order is not None:
+        n = _derivative_order(derivative_order)
     x = np.asarray(x, dtype=float)
     freqs = grid.frequencies
     draws = {name: _mode_normals(seed, replicate, comp, grid.n_modes)
@@ -169,7 +234,7 @@ def sample_joint(model: LevyModel, alpha: float, t: float,
     out = {}
     for part in ("V", "S"):
         amp = _amplitudes(part, model, alpha, t, grid)
-        vals = _synthesise(amp, freqs, x, draws[part + "_a"],
+        vals = _synthesise(amp, grid, x, draws[part + "_a"],
                            draws[part + "_b"])
         bias = discretisation_bias(part, model, alpha, t, grid)
         out[part] = FieldSample(part, alpha, t, 0, x, vals, seed, replicate,
@@ -180,9 +245,8 @@ def sample_joint(model: LevyModel, alpha: float, t: float,
                       eta_bias)
     if derivative_order is None:
         return out["V"], out["S"], eta, None
-    n = int(derivative_order)
     amp = _amplitudes("S", model, alpha, t, grid) * freqs ** n
-    vals = _synthesise(amp, freqs, x, draws["S_a"], draws["S_b"],
+    vals = _synthesise(amp, grid, x, draws["S_a"], draws["S_b"],
                        phase=n * math.pi / 2.0)
     bias = discretisation_bias("S", model, alpha, t, grid,
                                derivative_order=n)
@@ -202,7 +266,7 @@ def sample_heat_field(model: LevyModel, t: float, grid: SpectralGrid,
     amp = _amplitudes("U", model, None, t, grid)
     a = _mode_normals(seed, replicate, _COMPONENTS["U"][0], grid.n_modes)
     b = _mode_normals(seed, replicate, _COMPONENTS["U"][1], grid.n_modes)
-    vals = _synthesise(amp, grid.frequencies, x, a, b)
+    vals = _synthesise(amp, grid, x, a, b)
     return FieldSample("U", None, t, 0, x, vals, seed, replicate, grid, bias)
 
 
@@ -216,21 +280,31 @@ def ensemble_values(model: LevyModel, kind: str, alpha: float | None,
     Row r realises the same spectral sum as sample_joint /
     sample_heat_field with replicate=r at the same points (identical
     amplitude draws; values agree to reduction-order rounding, ~1e-12).
-    Identical calls are bit-identical; batching only regroups the matrix
-    products.
+    ``derivative_order`` applies to kinds S and S_derivative only; any
+    other kind with a nonzero order raises ValueError.
+
+    Each batch of rows is filled in place, one row per amplitude stream,
+    with the rows split over one thread per core; then one matrix product
+    per part.  A row is a pure function of its stream, so the split cannot
+    move a bit: identical calls are bit-identical for any worker count,
+    and batching only regroups the matrix products.
     """
+    n = _derivative_order(derivative_order)
     points = np.asarray(points, dtype=float)
     freqs = grid.frequencies
     if kind == "eta":
         # eta has the same law for every t; with no t given, draw it from
         # its own spectral density instead of as V + S
         parts = [("eta_direct", 0)] if t is None else [("V", 0), ("S", 0)]
-    elif kind in ("V", "S", "U"):
-        parts = [(kind, derivative_order if kind == "S" else 0)]
-    elif kind == "S_derivative":
-        parts = [("S", derivative_order)]
+    elif kind in ("V", "U"):
+        parts = [(kind, 0)]
+    elif kind in ("S", "S_derivative"):
+        parts = [("S", n)]
     else:
         raise ValueError(f"unknown ensemble kind {kind!r}")
+    if n and kind not in ("S", "S_derivative"):
+        raise ValueError(f"derivative_order applies to kinds S and "
+                         f"S_derivative, not {kind!r}")
     mats = []
     for part, order in parts:
         dens_kind = "eta" if part == "eta_direct" else part
@@ -241,20 +315,34 @@ def ensemble_values(model: LevyModel, kind: str, alpha: float | None,
         arg = np.outer(freqs, points) + phase
         mats.append((part, amp[:, None] * np.cos(arg),
                      amp[:, None] * np.sin(arg)))
+    # imported here: it costs ~10 ms, which every import of the package
+    # would pay
+    from concurrent.futures import ThreadPoolExecutor
+
     out = np.empty((replicates, points.size))
     k = grid.n_modes
-    for lo in range(0, replicates, batch):
-        hi = min(lo + batch, replicates)
-        acc = np.zeros((hi - lo, points.size))
-        for part, cmat, smat in mats:
-            ca, cb = _COMPONENTS[part]
-            a = np.empty((hi - lo, k))
-            b = np.empty((hi - lo, k))
-            for i, r in enumerate(range(lo, hi)):
-                a[i] = _mode_normals(seed, r, ca, k)
-                b[i] = _mode_normals(seed, r, cb, k)
-            acc += a @ cmat + b @ smat
-        out[lo:hi] = acc
+    a = np.empty((min(batch, replicates), k))
+    b = np.empty_like(a)
+    workers = _workers()
+
+    def fill(rows, lo, ca, cb):
+        for r in rows:
+            _mode_normals(seed, r, ca, k, out=a[r - lo])
+            _mode_normals(seed, r, cb, k, out=b[r - lo])
+
+    with ThreadPoolExecutor(workers) as pool:
+        for lo in range(0, replicates, batch):
+            hi = min(lo + batch, replicates)
+            step = -(-(hi - lo) // workers)
+            acc = np.zeros((hi - lo, points.size))
+            for part, cmat, smat in mats:
+                ca, cb = _COMPONENTS[part]
+                jobs = [pool.submit(fill, range(r, min(r + step, hi)), lo,
+                                    ca, cb) for r in range(lo, hi, step)]
+                for job in jobs:
+                    job.result()
+                acc += a[:hi - lo] @ cmat + b[:hi - lo] @ smat
+            out[lo:hi] = acc
     return out
 
 

@@ -1,9 +1,11 @@
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from dynkin_lab import fields
+from dynkin_lab import cli, fields
 from dynkin_lab.fields import (FieldSample, SpectralGrid, ensemble_values,
                                increment_scaling_exponent, sample_heat_field,
                                sample_joint, scaling_exponent_ensemble,
@@ -110,6 +112,157 @@ def test_ensemble_batch_independence():
     assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
     c = ensemble_values(STABLE, "V", 1.0, 0.5, grid, pts, 7, 10, batch=3)
     assert np.array_equal(a, c)
+
+
+def _dense_route(monkeypatch):
+    monkeypatch.setattr(fields, "_fft_length", lambda x, grid: None)
+
+
+def test_fft_route_matches_the_dense_oracle(monkeypatch):
+    # N = 2 pi / (dx dxi) = 4096 > n_modes, and N = 256 < n_modes, where
+    # modes k and k + N fold onto one FFT bin
+    grid = SpectralGrid(64.0, 1024)
+    cases = [(0.0, 2.0 * math.pi / (4096 * grid.delta_xi), 128),
+             (-0.37, 2.0 * math.pi / (4096 * grid.delta_xi), 128),
+             (1.3, 2.0 * math.pi / (256 * grid.delta_xi), 64)]
+    for x0, dx, n in cases:
+        x = x0 + np.arange(n) * dx
+        assert fields._fft_length(x, grid) is not None
+        for model in (BROWNIAN, STABLE):
+            for order in (0, 1, 2, 3):
+                fast = sample_joint(model, 1.0, 0.5, grid, x, seed=4,
+                                    replicate=2, derivative_order=order)
+                with monkeypatch.context() as m:
+                    _dense_route(m)
+                    slow = sample_joint(model, 1.0, 0.5, grid, x, seed=4,
+                                        replicate=2, derivative_order=order)
+                for f, s in zip(fast, slow):
+                    scale = np.max(np.abs(s.values))
+                    assert np.max(np.abs(f.values - s.values)) \
+                        <= 1e-12 * scale
+                assert np.array_equal(fast[2].values,
+                                      fast[0].values + fast[1].values)
+            fast = sample_heat_field(model, 0.5, grid, x, seed=4)
+            with monkeypatch.context() as m:
+                _dense_route(m)
+                slow = sample_heat_field(model, 0.5, grid, x, seed=4)
+            assert np.max(np.abs(fast.values - slow.values)) \
+                <= 1e-12 * np.max(np.abs(slow.values))
+
+
+def test_cli_default_grid_takes_the_fft_route(tmp_path, monkeypatch):
+    def dense(*args, **kwargs):
+        raise AssertionError("dense synthesis on the default grid")
+
+    monkeypatch.setattr(fields, "_synthesise_dense", dense)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"kind": "stable", "beta": 1.5,
+                                         "c": 1.0},
+                               "synth": {"replications": 4}}))
+    assert cli.main(["synth", "--config", str(cfg), "--out",
+                     str(tmp_path / "out")]) == 0
+
+
+def test_dense_route_values_are_unchanged():
+    # N = 2 pi / (0.125 * 0.25) = 201.06... is not an integer, so this
+    # grid keeps the dense route and the values recorded before the FFT
+    # route existed
+    grid = SpectralGrid(128.0, 512)
+    x = np.linspace(0.0, 4.0, 33)
+    assert fields._fft_length(x, grid) is None
+    v, s, _, d = sample_joint(BROWNIAN, 2.0, 1.0, grid, x, seed=99,
+                              replicate=5, derivative_order=3)
+    assert v.values[[0, 16, 32]].tolist() == [0.03853353010616384, 0.4260920295094494, -0.8812332175598732]
+    assert s.values[[0, 16, 32]].tolist() == [-0.10801046151061922, -0.2556295951009369, -0.2014571009995907]
+    assert d.values[[0, 16, 32]].tolist() == [0.030069277248570052, 0.03095950088817615, -0.07223896680012637]
+
+
+# ensemble_values(STABLE, kind, 1.0, t, SpectralGrid(256.0, 512),
+# [0.0, 0.7], seed=5, replicates=4, derivative_order, batch), keyed
+# (kind, t, derivative_order, batch), recorded before the amplitude
+# rows were filled on threads
+_ENSEMBLE_PINS = {
+    ("V", 0.5, 0, 3): [
+        [0.5069318882405882, 0.7885721182632588],
+        [-0.0356439545693151, -0.29678941186813335],
+        [-0.4671288876077205, 0.922872695788576],
+        [-0.4327054010920507, 0.07283952623923468]],
+    ("V", 0.5, 0, 512): [
+        [0.5069318882405883, 0.7885721182632589],
+        [-0.03564395456931509, -0.29678941186813346],
+        [-0.46712888760772053, 0.922872695788576],
+        [-0.4327054010920508, 0.07283952623923495]],
+    ("S", 0.5, 0, 3): [
+        [0.06445830956326412, 0.05090241483067554],
+        [-0.16297986040570567, -0.1427317302525351],
+        [-0.1019154068444012, -0.1746960425187319],
+        [0.33167252929674007, 0.2128427422754492]],
+    ("S", 0.5, 0, 512): [
+        [0.0644583095632641, 0.050902414830675584],
+        [-0.1629798604057057, -0.1427317302525351],
+        [-0.10191540684440122, -0.1746960425187319],
+        [0.33167252929674007, 0.21284274227544933]],
+    ("eta", None, 0, 3): [
+        [0.1179205461727999, 0.2406516115774808],
+        [0.35546007458324275, 0.14216341771825738],
+        [0.11231935948639166, -0.17429894637064375],
+        [-0.8265407018867917, -0.9576728411952056]],
+    ("eta", None, 0, 512): [
+        [0.11792054617279979, 0.2406516115774807],
+        [0.35546007458324275, 0.1421634177182574],
+        [0.11231935948639171, -0.17429894637064375],
+        [-0.8265407018867909, -0.9576728411952053]],
+    ("S_derivative", 0.5, 2, 3): [
+        [0.07759875300909533, -0.0989371009126534],
+        [0.09832453709824093, 0.06893462476019474],
+        [-0.20916095821073502, -0.06368741838726963],
+        [-0.1601090264635198, 0.2484803528077199]],
+    ("S_derivative", 0.5, 2, 512): [
+        [0.07759875300909533, -0.09893710091265338],
+        [0.09832453709824093, 0.06893462476019474],
+        [-0.20916095821073505, -0.06368741838726964],
+        [-0.1601090264635198, 0.24848035280772002]],
+}
+
+
+def test_ensemble_stream_contract(monkeypatch):
+    # a row is a pure function of its amplitude streams, so no split of
+    # the rows over threads can move a bit; 3 workers with a short switch
+    # interval make the threads interleave
+    grid = SpectralGrid(256.0, 512)
+    pts = np.array([0.0, 0.7])
+    interval = sys.getswitchinterval()
+    try:
+        for workers in (None, 1, 3):
+            if workers is not None:
+                monkeypatch.setattr(fields, "_workers", lambda w=workers: w)
+                sys.setswitchinterval(1e-5 if workers > 1 else interval)
+            for (kind, t, order, batch), want in _ENSEMBLE_PINS.items():
+                got = ensemble_values(STABLE, kind, 1.0, t, grid, pts, 5, 4,
+                                      derivative_order=order, batch=batch)
+                assert got.tolist() == want, (kind, t, order, batch,
+                                              workers)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_derivative_order_is_checked():
+    # V, U and eta have no derivative field here; the order used to be
+    # ignored for them, and a negative order synthesised an antiderivative
+    grid = SpectralGrid(64.0, 128)
+    pts = np.array([0.0, 0.5])
+    for kind, alpha, t in (("V", 1.0, 0.5), ("U", None, 0.5),
+                           ("eta", 1.0, None), ("eta", 1.0, 0.5)):
+        with pytest.raises(ValueError, match="derivative_order"):
+            ensemble_values(STABLE, kind, alpha, t, grid, pts, 1, 2,
+                            derivative_order=2)
+    for kind in ("S", "S_derivative"):
+        with pytest.raises(ValueError, match="derivative_order"):
+            ensemble_values(STABLE, kind, 1.0, 0.5, grid, pts, 1, 2,
+                            derivative_order=-1)
+    with pytest.raises(ValueError, match="derivative_order"):
+        sample_joint(STABLE, 1.0, 0.5, grid, pts, seed=1,
+                     derivative_order=-1)
 
 
 def test_heat_field_variance_small_t():
