@@ -10,10 +10,11 @@ from dynkin_lab.fields import (FieldSample, SpectralGrid, ensemble_values,
                                increment_scaling_exponent, sample_heat_field,
                                sample_joint, scaling_exponent_ensemble,
                                spectral_density, structure_function_exact)
-from dynkin_lab.kernels import (KernelQuery, spectral_envelope, u_alpha,
-                                variance_profile)
+from dynkin_lab.kernels import KernelQuery, spectral_envelope, variance_profile
 from dynkin_lab.levy import LevyModel
 from dynkin_lab.quadrature import NonConvergenceError
+from dynkin_lab.verify import (check_discretisation_consistency,
+                               check_eta_covariance, check_field_determinism)
 
 BROWNIAN = LevyModel.brownian(1.0)
 STABLE = LevyModel.stable(1.5, 1.0)
@@ -71,17 +72,13 @@ def test_density_validation():
 
 
 def test_sample_determinism_and_exact_sum():
-    grid = SpectralGrid(128.0, 512)
-    x = np.linspace(0.0, 4.0, 33)
-    a = sample_joint(BROWNIAN, 2.0, 1.0, grid, x, seed=99, replicate=5,
-                     derivative_order=3)
-    b = sample_joint(BROWNIAN, 2.0, 1.0, grid, x, seed=99, replicate=5,
-                     derivative_order=3)
-    for p, q in zip(a, b):
-        assert np.array_equal(p.values, q.values)
-    v, s, eta, deriv = a
-    assert np.array_equal(eta.values, v.values + s.values)
-    assert np.all(np.isfinite(deriv.values))
+    res = check_field_determinism(BROWNIAN, 99, 1.0, 1.0)
+    assert res.passed, res.detail
+
+
+def test_discretisation_bias_covers_the_grid_gap():
+    res = check_discretisation_consistency(BROWNIAN, 0, 1.0, 1.0)
+    assert res.passed, res.detail
 
 
 def test_different_replicates_differ():
@@ -292,16 +289,9 @@ def test_heat_field_requires_integrable_density():
 
 
 def test_covariance_against_kernel_small():
-    grid = SpectralGrid(1024.0, 4096)
-    pts = np.array([0.0, 0.5, 1.0])
-    reps = 20000
-    vals = ensemble_values(BROWNIAN, "eta", 2.0, 1.0, grid, pts, 23, reps)
-    bias = fields.discretisation_bias("eta", BROWNIAN, 2.0, 1.0, grid).total
-    for j, r in enumerate(pts):
-        prod = vals[:, 0] * vals[:, j]
-        emp = float(np.mean(prod))
-        se = float(np.std(prod) / math.sqrt(reps))
-        assert abs(emp - u_alpha(BROWNIAN, 2.0, float(r))) <= 3 * se + bias
+    # 20,000 replicates
+    res = check_eta_covariance(BROWNIAN, 23, 2.0, 1.0)
+    assert res.passed, res.detail
 
 
 def test_tail_variance_below_cable_variance_at_halving_time():

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from dynkin_lab.kernels import (AtomicMeasure, KernelQuery, delta_difference,
-                                green_bound_constant, kernel_value,
-                                pbar_density, quadratic_form, u_alpha,
-                                variance_profile, window)
+                                kernel_value, pbar_density, quadratic_form,
+                                u_alpha, variance_profile, window)
 from dynkin_lab.levy import LevyMeasure, LevyModel, stable_jump_coefficient
 from dynkin_lab.quadrature import NonConvergenceError
+from dynkin_lab.verify import (check_bd2_exact, check_green_bound,
+                               check_pbar_monotone,
+                               check_quadratic_form_routes,
+                               check_spectral_additivity)
 
 BROWNIAN = LevyModel.brownian(1.0)
 STABLE = LevyModel.stable(1.5, 1.0)
@@ -59,10 +62,10 @@ def test_pbar_brownian_values():
 
 
 def test_pbar_monotone_in_time():
-    ts = np.geomspace(0.1, 10.0, 15)
+    # tol_scale 1e-2 allows a rise of 1e-12 * max pbar, and max pbar < 1
     for m in (BROWNIAN, STABLE):
-        vals = [pbar_density(m, float(t), 0.0) for t in ts]
-        assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+        res = check_pbar_monotone(m, 0, 1.0, 1e-2)
+        assert res.passed, res.detail
 
 
 def test_pbar_far_lag_nonnegative():
@@ -90,12 +93,8 @@ def test_variance_profile_tail_vs_cable_at_halving_time():
 
 
 def test_spectral_additivity_relative():
-    for m in (BROWNIAN, STABLE):
-        for alpha in (0.5, 2.0, 8.0):
-            for t in (0.25, 1.0, 4.0):
-                prof = variance_profile(m, KernelQuery(alpha, t))
-                gap = abs(prof.varV + prof.varS - prof.varEta)
-                assert gap <= 1e-8 * prof.varEta
+    res = check_spectral_additivity(BROWNIAN, 0, 1.0, 1.0)
+    assert res.passed, res.detail
 
 
 def test_atomic_measure_merges_and_rejects():
@@ -120,18 +119,9 @@ def test_quadratic_form_increment_value():
 
 
 def test_quadratic_form_route_agreement():
-    mu = AtomicMeasure.from_atoms([(0.0, 1.0), (0.7, -0.5), (1.3, 0.25)])
     for m in (BROWNIAN, STABLE):
-        for kernel, kw in (("potential", dict(alpha=2.0)),
-                           ("pbar", dict(t=0.5)),
-                           ("varV", dict(alpha=1.0, t=1.0)),
-                           ("varS", dict(alpha=1.0, t=1.0)),
-                           ("varU", dict(t=1.0))):
-            a = quadratic_form(m, kw.get("alpha"), mu, kernel,
-                               t=kw.get("t"), route="pairs")
-            b = quadratic_form(m, kw.get("alpha"), mu, kernel,
-                               t=kw.get("t"), route="grid")
-            assert a == pytest.approx(b, rel=2e-5, abs=1e-10)
+        res = check_quadratic_form_routes(m, 0, 1.0, 1.0)
+        assert res.passed, res.detail
 
 
 def test_quadratic_form_rejects_bad_kernel():
@@ -143,55 +133,13 @@ def test_quadratic_form_rejects_bad_kernel():
 
 
 def test_green_bound_random_triples():
-    rng = np.random.default_rng(5)
-    for m in (BROWNIAN, STABLE):
-        u1 = u_alpha(m, 1.0, 0.0)
-        for _ in range(50):
-            alpha = math.exp(rng.uniform(math.log(0.1), math.log(10)))
-            x, y = rng.uniform(-5, 5, 2)
-            assert u_alpha(m, alpha, x - y) <= \
-                green_bound_constant(alpha) * u1 + 1e-8
-
-
-def test_existence_sandwich_grid():
-    for m in (BROWNIAN, STABLE):
-        for alpha in (0.5, 1.0, 2.0, 4.0, 8.0):
-            u2a = u_alpha(m, 2 * alpha, 0.0)
-            for t in (0.25, 0.5, 1.0, 2.0, 4.0):
-                prof = variance_profile(m, KernelQuery(alpha, t))
-                tol = 1e-7 * (1 + u2a)
-                assert (1 - math.exp(-t * alpha)) * u2a <= prof.varV + tol
-                assert prof.varV <= math.exp(t * alpha) * u2a + tol
-                assert (1 - math.exp(-2 * t * alpha)) * u2a <= prof.varU + tol
-                assert prof.varU <= math.exp(2 * t * alpha) * u2a + tol
-
-
-def test_heat_cable_sandwich():
-    mu = delta_difference(0.0, 0.8)
-    for m in (BROWNIAN, STABLE):
-        for alpha, t in ((0.5, 0.5), (2.0, 1.0), (4.0, 0.25)):
-            prof = variance_profile(m, KernelQuery(alpha, t))
-            assert prof.varV <= prof.varU + 1e-10
-            assert prof.varU <= 3 * math.exp(alpha * t) * prof.varV + 1e-10
-            qv = quadratic_form(m, alpha, mu, "varV", t=t)
-            qu = quadratic_form(m, alpha, mu, "varU", t=t)
-            assert qv <= qu + 1e-10
-            assert qu <= 3 * math.exp(alpha * t) * qv + 1e-10
+    res = check_green_bound(BROWNIAN, 5, 1.0, 1.0)
+    assert res.passed, res.detail
 
 
 def test_tail_component_smoother_random_measures():
-    rng = np.random.default_rng(11)
-    for m in (BROWNIAN, STABLE):
-        for _ in range(5):
-            n = int(rng.integers(2, 5))
-            mu = AtomicMeasure.from_atoms(
-                [(rng.uniform(-2, 2), rng.uniform(-1, 1))
-                 for _ in range(n)])
-            alpha = math.exp(rng.uniform(math.log(0.5), math.log(4)))
-            t = math.exp(rng.uniform(math.log(0.25), math.log(2)))
-            qs = quadratic_form(m, alpha, mu, "varS", t=t)
-            qv = quadratic_form(m, alpha, mu, "varV", t=t)
-            assert qs <= qv / (math.exp(t * alpha) - 1) + 1e-8 * (1 + qv)
+    res = check_bd2_exact(BROWNIAN, 11, 1.0, 1.0)
+    assert res.passed, res.detail
 
 
 def test_kernel_query_validation():

@@ -8,6 +8,7 @@ from dynkin_lab.levy import (INCONCLUSIVE, SATISFIED, VIOLATED, LevyMeasure,
                              LevyModel, _jump_exponent, averaged_exponent,
                              condition_report, feller_functions, re_psi,
                              stable_jump_coefficient)
+from dynkin_lab.verify import check_evenness, check_stable_consistency
 
 _TABLE_Z = np.geomspace(0.01, 10.0, 40)
 
@@ -36,11 +37,10 @@ def test_brownian_closed_form():
 
 
 def test_evenness_closed_forms():
-    rng = np.random.default_rng(7)
-    xs = rng.uniform(-100, 100, 1000)
+    # tol_scale 0: the closed forms are exactly even
     for m in (LevyModel.brownian(0.7), LevyModel.stable(1.3, 2.0)):
-        for x in xs:
-            assert re_psi(m, x) == re_psi(m, -x)
+        res = check_evenness(m, 7, 1.0, 0.0)
+        assert res.passed, res.detail
 
 
 def test_closed_forms_do_not_depend_on_how_xi_is_passed():
@@ -55,12 +55,9 @@ def test_closed_forms_do_not_depend_on_how_xi_is_passed():
 
 
 def test_evenness_khintchine():
-    nu = LevyMeasure.power_law(0.5, 1.5)
-    m = LevyModel.khintchine(0.3, nu)
-    rng = np.random.default_rng(8)
-    for x in rng.uniform(-20, 20, 25):
-        a, b = re_psi(m, float(x)), re_psi(m, float(-x))
-        assert abs(a - b) <= 1e-12 * max(abs(a), 1e-300)
+    m = LevyModel.khintchine(0.3, LevyMeasure.power_law(0.5, 1.5))
+    res = check_evenness(m, 8, 1.0, 1.0)
+    assert res.passed, res.detail
 
 
 def test_khintchine_power_law_scaling():
@@ -75,13 +72,8 @@ def test_khintchine_power_law_scaling():
 
 
 def test_stable_self_consistency():
-    beta, c = 1.5, 1.0
-    nu = LevyMeasure.power_law(stable_jump_coefficient(beta, c), beta)
-    m = LevyModel.khintchine(0.0, nu)
-    ref = LevyModel.stable(beta, c)
-    for xi in np.geomspace(0.1, 100.0, 13):
-        assert re_psi(m, float(xi)) == pytest.approx(re_psi(ref, float(xi)),
-                                                     rel=1e-4)
+    res = check_stable_consistency(LevyModel.stable(1.5, 1.0), 0, 1.0, 1.0)
+    assert res.passed, res.detail
 
 
 def test_exponent_cache_does_not_outlive_its_measure():

@@ -11,6 +11,11 @@ from dynkin_lab.localtime import (BandwidthError, OccupancyError, PathConfig,
                                   local_time, mean_local_times,
                                   resolvent_check, simulate_path,
                                   stable_increment)
+from dynkin_lab.verify import (check_lt_additivity,
+                               check_lt_discounted_split, check_lt_domination)
+
+# the walk of the localtime checks, which ignore the model they are given
+WALK = LevyModel.stable(1.5, 0.5)
 
 
 def test_path_config_validation():
@@ -70,18 +75,8 @@ def test_local_time_bandwidth_guards():
 
 
 def test_local_time_additivity_exact():
-    g = rng.stream(4, rng.DOMAIN_PATH, 0)
-    cfg = PathConfig(1.5, 0.5, 1e-3)
-    pos = simulate_path(cfg, 3000, g)
-    eps = cfg.bandwidth
-    whole = np.count_nonzero(np.abs(pos[:-1] - 0.05) < eps)
-    first = np.count_nonzero(np.abs(pos[:1500] - 0.05) < eps)
-    second = np.count_nonzero(np.abs(pos[1500:-1] - 0.05) < eps)
-    assert whole == first + second
-    w = local_time(pos, cfg.dt, 0.05, eps).value
-    f = local_time(pos[:1501], cfg.dt, 0.05, eps).value
-    s = local_time(pos[1500:], cfg.dt, 0.05, eps).value
-    assert w == pytest.approx(f + s, rel=1e-12)
+    res = check_lt_additivity(WALK, 4, 1.0, 1.0)
+    assert res.passed, res.detail
 
 
 def test_resolvent_check_brownian():
@@ -157,25 +152,15 @@ def test_corollary_vanishing_conditioning():
 
 
 def test_discounted_split_inequality_holds():
-    cfg = PathConfig(1.5, 0.5, 1e-3, seed=0)
-    res = discounted_split_check(cfg, 1.0, 0.0, 1.0, math.log(2.0),
-                                 paths=8000, seed=6)
-    assert res.verdict
-    assert res.margin > 0
+    # 8000 paths
+    res = check_lt_discounted_split(WALK, 6, 0.8, 1.0)
+    assert res.passed, res.detail
 
 
 def test_hitting_domination_and_linear_growth():
-    paths = 3000
-    from_x = PathConfig(1.5, 0.5, 1e-3, x0=0.5, seed=0)
-    from_y = PathConfig(1.5, 0.5, 1e-3, x0=0.0, seed=0)
-    times = [1.0, 2.0, 4.0]
-    mx, sx = mean_local_times(from_x, [0.0], times, paths, seed=61)
-    my, sy = mean_local_times(from_y, [0.0], times, paths, seed=62)
-    for ti, t in enumerate(times):
-        se = math.hypot(sx[ti, 0], sy[ti, 0])
-        assert mx[ti, 0] <= my[ti, 0] + 3 * se
-        se2 = math.hypot(sx[ti, 0], 2 * t * sy[0, 0])
-        assert mx[ti, 0] <= 2 * t * my[0, 0] + 3 * se2
+    # 3000 paths from each start
+    res = check_lt_domination(WALK, 61, 0.75, 1.0)
+    assert res.passed, res.detail
 
 
 def test_mean_local_times_validation():

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from dynkin_lab import torus
-from dynkin_lab.fields import RunningMoments
 from dynkin_lab.kernels import window
 from dynkin_lab.levy import LevyModel, re_psi
 from dynkin_lab.torus import (StepOperator, TorusConfig, TorusState,
                               initial_state, mode_variance,
                               point_variance_exact, run_moments, snapshot)
+from dynkin_lab.verify import (check_dt_invariance, check_heat_cable_modes,
+                               check_hermitian_preservation,
+                               check_stationary_spectrum)
 
 BROWNIAN = LevyModel.brownian(1.0)
 
@@ -75,13 +77,9 @@ def test_step_is_pure_and_reproducible():
 
 
 def test_hermitian_symmetry_structural():
-    cfg = TorusConfig(8.0, 5, 1.0, 0.01)
-    op = StepOperator(cfg, BROWNIAN)
-    st = initial_state(cfg, seed=9)
-    for _ in range(1000):
-        st = op.apply(st)
-    full = st.full_modes()
-    assert np.array_equal(full, np.conj(full[::-1]))
+    # 1000 steps
+    res = check_hermitian_preservation(BROWNIAN, 9, 0.001, 1.0)
+    assert res.passed, res.detail
 
 
 def test_mode_variance_matches_ensemble():
@@ -101,23 +99,15 @@ def test_mode_variance_matches_ensemble():
 
 
 def test_point_variance_ensemble_and_dt_invariance():
-    paths = 3000
-    target = {}
-    for dt in (0.1, 0.0125):
-        cfg = TorusConfig(16.0, 65, 2.0, dt)
-        op = StepOperator(cfg, BROWNIAN)
-        acc = RunningMoments()
-        for p in range(paths):
-            st = initial_state(cfg, seed=33 + (dt == 0.1), path=p)
-            for _ in range(int(round(1.0 / dt))):
-                st = op.apply(st)
-            acc.add(snapshot(st, cfg, [0.0, 5.0, 10.0]))
-        target[dt] = acc.variance
-    exact = point_variance_exact(TorusConfig(16.0, 65, 2.0, 0.1), BROWNIAN,
-                                 1.0)
-    se = exact * math.sqrt(2.0 / paths)
-    assert abs(target[0.1] - exact) <= 3 * se
-    assert abs(target[0.1] - target[0.0125]) <= 3 * math.sqrt(2) * se
+    # 3000 paths at each dt
+    res = check_dt_invariance(BROWNIAN, 33, 1.5, 1.0)
+    assert res.passed, res.detail
+
+
+def test_stationary_mode_spectrum_ensemble():
+    # 500 paths, the check's smallest size
+    res = check_stationary_spectrum(BROWNIAN, 0, 0.25, 1.0)
+    assert res.passed, res.detail
 
 
 def test_stationary_spectrum_limit():
@@ -137,12 +127,8 @@ def test_mode_variance_is_the_kernel_window():
 
 
 def test_heat_dominates_cable_per_mode():
-    heat = TorusConfig(16.0, 65, 0.0, 0.1)
-    cable = TorusConfig(16.0, 65, 2.0, 0.1)
-    for t in (0.1, 1.0, 10.0):
-        vu = mode_variance(heat, BROWNIAN, t)
-        vv = mode_variance(cable, BROWNIAN, t)
-        assert np.all(vv <= vu + 1e-15)
+    res = check_heat_cable_modes(BROWNIAN, 0, 1.0, 1.0)
+    assert res.passed, res.detail
 
 
 def test_torus_covariance_matches_line_kernel():
