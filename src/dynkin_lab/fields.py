@@ -157,8 +157,8 @@ def _amplitudes(kind, model, alpha, t, grid, derivative_order=0):
 def _mode_normals(seed, replicate, component, n_modes, out=None):
     # mode k is the k-th variate of the (seed, replicate, component) stream;
     # with out= the row is filled in place, and the fill releases the GIL
-    return rng.stream(seed, rng.DOMAIN_FIELD, replicate,
-                      component).standard_normal(n_modes, out=out)
+    return rng._reopen(seed, rng.DOMAIN_FIELD, replicate,
+                       component).standard_normal(n_modes, out=out)
 
 
 def _workers() -> int:

@@ -85,8 +85,10 @@ def stable_increment(beta: float, c: float, dt: float,
         X = sigma * sin(beta V) / cos(V)^(1/beta)
                   * (cos((1-beta) V) / W)^((1-beta)/beta),
 
-    sigma = (2 c dt)^(1/beta); beta = 1 reduces to sigma * tan(V).  Draw
-    order within the stream: all uniforms, then all exponentials.
+    sigma = (2 c dt)^(1/beta); beta = 1 reduces to sigma * tan(V) and
+    beta = 2 to sigma * 2 sin(V) sqrt(W), which agrees with the general
+    form to a few ulps.  Draw order within the stream: all uniforms, then
+    all exponentials.
     """
     if not 0.0 < beta <= 2.0:
         raise ValueError("beta must lie in (0,2]")
@@ -99,8 +101,12 @@ def stable_increment(beta: float, c: float, dt: float,
         out = sigma * np.tan(v)
     else:
         w = gen.standard_exponential(n)
-        out = sigma * (np.sin(beta * v) / np.cos(v) ** (1.0 / beta)
-                       * (np.cos((1.0 - beta) * v) / w) ** ((1.0 - beta) / beta))
+        if beta == 2.0:
+            out = sigma * (2.0 * np.sin(v) * np.sqrt(w))
+        else:
+            out = sigma * (np.sin(beta * v) / np.cos(v) ** (1.0 / beta)
+                           * (np.cos((1.0 - beta) * v) / w)
+                           ** ((1.0 - beta) / beta))
     return float(out[0]) if size is None else out
 
 
@@ -169,7 +175,7 @@ def _paths(cfg: PathConfig, paths: int, seed: int | None, x0: float,
     seed = cfg.seed if seed is None else seed
     start = PathConfig(cfg.beta, cfg.c, cfg.dt, x0=x0)
     for p in range(paths):
-        gen = rng.stream(seed, rng.DOMAIN_PATH, p)
+        gen = rng._reopen(seed, rng.DOMAIN_PATH, p)
         s_time, n = None, n_steps
         if alpha is not None:
             s_time = gen.standard_exponential() / alpha

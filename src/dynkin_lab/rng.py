@@ -9,9 +9,21 @@ within a stream are indexed by their draw position (mode index, step index,
 
 Because the stream is a pure function of its address, replication-parallel
 sampling is reproducible regardless of batching or thread scheduling.
+
+``stream`` returns a fresh Generator that the caller may hold as long as it
+likes.  Building one costs more than a short stream's draws, so the three
+hot loops (one stream per path, per torus step, per field amplitude row)
+open theirs with the private ``_reopen`` instead.  It resets the calling
+thread's single Philox to the address, with an empty buffer, and returns
+that thread's one Generator: the draws are those of ``stream`` at the same
+address, but the next ``_reopen`` on the same thread restarts it.  Use it
+only in a loop that uses up each stream before it opens the next one, and
+never hand its Generator to code that might open another.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -29,3 +41,23 @@ def stream(seed: int, domain: int, replicate: int = 0,
                         domain & _MASK64], dtype=np.uint64)
     bitgen = np.random.Philox(key=np.uint64(seed & _MASK64), counter=counter)
     return np.random.Generator(bitgen)
+
+
+_local = threading.local()
+_EMPTY_BUFFER = np.zeros(4, dtype=np.uint64)
+
+
+def _reopen(seed: int, domain: int, replicate: int = 0,
+            component: int = 0) -> np.random.Generator:
+    """This thread's Generator, reset to the start of the given substream."""
+    gen = getattr(_local, "gen", None)
+    if gen is None:
+        gen = _local.gen = np.random.Generator(np.random.Philox(key=0))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, replicate & _MASK64, component & _MASK64,
+                              domain & _MASK64],
+                  "key": [seed & _MASK64, 0]},
+        "buffer": _EMPTY_BUFFER, "buffer_pos": 4, "has_uint32": 0,
+        "uinteger": 0}
+    return gen

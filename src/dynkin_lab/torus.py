@@ -83,20 +83,23 @@ class StepOperator:
         w = window(2.0 * psi + cfg.alpha, cfg.dt)
         # complex modes: Var(Re) = Var(Im) = w / (2L); the real zero mode
         # carries the full variance w / L
-        self.sigma_cplx = np.sqrt(w / (2.0 * cfg.circumference))
         self.sigma_zero = math.sqrt(w[0] / cfg.circumference)
+        # per-normal scale of the step's draws (re, im of mode 0, re, im of
+        # mode 1, ...); 0.0 zeroes the imaginary innovation of mode 0
+        self.noise_scale = np.repeat(np.sqrt(w / (2.0 * cfg.circumference)),
+                                     2)
+        self.noise_scale[:2] = self.sigma_zero, 0.0
 
     def apply(self, state: TorusState) -> TorusState:
         # stream layout: one substream per (path, step); draws 2(half+1)
         # normals whose consecutive pairs are the real/imag innovations of
         # modes 0..half (the imaginary draw of the real zero mode is unused)
         cfg = self.cfg
-        g = rng.stream(state.seed, rng.DOMAIN_TORUS, state.path,
-                       state.step_index)
-        z = g.standard_normal(2 * cfg.half + 2)
-        noise = z.view(np.complex128) * self.sigma_cplx
-        noise[0] = self.sigma_zero * z[0]
-        modes = self.decay * state.modes + noise
+        z = rng._reopen(state.seed, rng.DOMAIN_TORUS, state.path,
+                        state.step_index).standard_normal(2 * cfg.half + 2)
+        z *= self.noise_scale
+        modes = self.decay * state.modes
+        modes += z.view(np.complex128)
         return TorusState(state.time + cfg.dt, modes, state.seed,
                           state.path, state.step_index + 1)
 

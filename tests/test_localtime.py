@@ -225,6 +225,24 @@ def test_path_stream_contract():
                             [0.04005619490166283, 0.046773974467646015]]
 
 
+def test_path_stream_contract_beta_two():
+    # Exact outputs at beta = 2, recorded with the general CMS transform.
+    # The closed form 2 sin V sqrt(W) moves a position by at most a few
+    # ulps, which must not move a hit count of either estimator.
+    cfg = PathConfig(2.0, 1.0, 1e-3, seed=0)
+    res = resolvent_check(cfg, 2.0, 0.0, 0.5, paths=200, seed=21)
+    assert (res.estimate, res.exact, res.stderr, res.paths, res.eps,
+            res.dt, res.mean_at_exponential_time) == (
+        0.06877953910866229, 0.07581633246407916, 0.0064817050226001465,
+        200, 0.03162277660168379, 0.001, 0.13755907821732458)
+    cor = corollary_test(cfg, 2.0, 0.0, 0.5, math.log(2.0) / 2.0,
+                         paths=200, seed=22, min_bin_count=50)
+    assert (cor.lhs, cor.rhs, cor.lhs_se, cor.rhs_se, cor.n_long,
+            cor.n_short, cor.verdict) == (
+        0.1225382593315247, 0.07715957490810847, 0.03412358055655942,
+        0.017716207269051692, 100, 100, True)
+
+
 def test_path_bandwidth_guard_does_not_depend_on_the_seed():
     # the guard once read the first path's median step; under an
     # exponential clock that path can be a few steps long, and this config

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -156,6 +157,40 @@ def test_run_moments_report():
             * math.sqrt(2.0 / 500)
     text = report.csv_text("prov")
     assert text.startswith("# prov\nt,x,mean,var,exact_var,stderr,paths\n")
+
+
+def test_step_stream_contract():
+    # Exact outputs of the step and of the ensemble that runs it: a step is
+    # a pure function of (seed, DOMAIN_TORUS, path, step), so a rewrite of
+    # apply must reproduce every one of these numbers exactly.
+    model = LevyModel.stable(1.5, 1.0)
+    cfg = TorusConfig(32.0, 65, 2.0, 0.1)
+    report = run_moments(cfg, model, 2.0, 20, [0.0, 1.5, 7.0], seed=5)
+    assert [(r.t, r.x, r.mean, r.var, r.stderr) for r in report.rows] == [
+        (1.0, 0.0, -0.13221433356134799, 0.2553329575116378,
+         0.08074337074437743),
+        (1.0, 1.5, 0.059215721227557985, 0.11608018482652949,
+         0.03670777752651507),
+        (1.0, 7.0, 0.1101763267533556, 0.08255459528146154,
+         0.026106055240280774),
+        (2.0, 0.0, -0.006171737285105413, 0.2522433116811992,
+         0.07976633894563458),
+        (2.0, 1.5, 0.026346261848465245, 0.3210460052765596,
+         0.1015236610372364),
+        (2.0, 7.0, -0.0643536831170844, 0.35692181505016574,
+         0.11286858821598891)]
+    assert [c.cov for c in report.covariances] == [
+        0.0025529900628370595, 0.12980554980795425, 0.10020012814754833]
+    assert report.stationarity_gap == 0.0030896458304386365
+    op = StepOperator(cfg, model)
+    st = initial_state(cfg, seed=7, path=3)
+    for _ in range(50):
+        st = op.apply(st)
+    assert hashlib.sha256(st.modes.tobytes()).hexdigest() == (
+        "de994feecebc2bc2edaaf769ae3d14d476450811a05340e8f40854c827542fa7")
+    # the zero mode is real: its imaginary part is +0.0, not -0.0
+    assert st.modes[0].imag == 0.0
+    assert math.copysign(1.0, st.modes[0].imag) == 1.0
 
 
 def test_run_moments_rejects_small_torus():
