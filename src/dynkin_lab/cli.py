@@ -1,10 +1,10 @@
 """Command-line front end: check | kernel | synth | spde | localtime | verify.
 
 One JSON configuration drives every command; flags override the config
-(flags win).  Exit status contract: 0 all pass, 1 property failure,
-2 usage/config error, 3 numerical non-convergence.  All output files are
-written atomically (temp + rename) and carry a provenance header comment
-sufficient to reproduce them bit for bit.
+(flags win) and are validated with it.  Exit status contract: 0 all pass,
+1 property failure, 2 usage/config error, 3 numerical non-convergence.  All
+output files are written atomically (temp + rename) and carry a provenance
+header comment sufficient to reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -272,26 +272,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    flags = {"seed": args.seed, "out_dir": args.out,
+             "spde.paths": args.paths, "localtime.paths": args.paths,
+             "synth.replications": args.paths,
+             "kernel.tolerance": args.tol, "verify.tolerance_scale": args.tol}
     try:
         with open(args.config) as handle:
-            cfg = parse_config(handle.read())
+            cfg = parse_config(handle.read(), {
+                key: val for key, val in flags.items() if val is not None})
     except OSError as exc:
         sys.stderr.write(f"cannot read config: {exc}\n")
         return EXIT_USAGE
     except ConfigError as exc:
         sys.stderr.write(str(exc) + "\n")
         return EXIT_USAGE
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.paths is not None:
-        cfg.spde["paths"] = args.paths
-        cfg.localtime["paths"] = args.paths
-        cfg.synth["replications"] = args.paths
-    if args.tol is not None:
-        cfg.kernel["tolerance"] = args.tol
-        cfg.verify["tolerance_scale"] = args.tol
     runners = {"check": run_check, "kernel": run_kernel,
                "synth": run_synth, "spde": run_spde,
                "localtime": run_localtime}

@@ -112,6 +112,8 @@ class LevyMeasure:
         if z.ndim != 1 or z.size < 2 or rho.shape != z.shape:
             raise ValueError("table needs matching 1-d z and rho arrays "
                              "with at least two rows")
+        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(rho))):
+            raise ValueError("table z and rho must be finite")
         if np.any(np.diff(z) <= 0) or z[0] <= 0:
             raise ValueError("table abscissae must be positive increasing")
         if np.any(rho < 0):

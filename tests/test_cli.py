@@ -199,3 +199,280 @@ def test_cli_verify_failure_exit_1(tmp_path, capsys):
     code = main(["verify", "--config", write_cfg(tmp_path, payload)])
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+# Bad configurations and the exact errors each one got before the config
+# became one table per section; compared as sorted lists, because only the
+# position of a cross-key message in the list may move.
+_KHIN = {"kind": "khintchine"}
+_POWER = {"family": "power_law", "coeff": 0.3, "beta": 1.2}
+
+
+def _model(spec):
+    return json.dumps({"model": spec})
+
+
+def _nu(nu, **extra):
+    return _model(dict(_KHIN, nu=nu, **extra))
+
+
+def _with(**parts):
+    return json.dumps(dict(MINIMAL, **parts))
+
+
+_GOLDEN = [
+    ("syntax-missing-value", '{\n  "model": }',
+     ["JSON syntax error at line 2, column 12: Expecting value"]),
+    ("syntax-trailing-comma", '{"model": {"kind": "brownian"},}',
+     ["JSON syntax error at line 1, column 32: Expecting property name "
+      "enclosed in double quotes"]),
+    ("top-level-array", "[1, 2]", ["top level: expected a JSON object"]),
+    ("model-missing", "{}", ["model: required section is missing"]),
+    ("model-not-object", json.dumps({"model": 3}),
+     ["model: expected an object"]),
+    ("model-kind-unknown", _model({"kind": "levy"}),
+     ["model.kind: expected one of ['brownian', 'khintchine', 'stable'], "
+      "got 'levy'"]),
+    ("model-kind-missing", _model({"beta": 1.5}),
+     ["model.kind: expected one of ['brownian', 'khintchine', 'stable'], "
+      "got None"]),
+    ("brownian-kappa-negative-unknown-key",
+     _model({"kind": "brownian", "kappa": -1, "sigma": 1}),
+     ["model.sigma: unknown key", "model.kappa: must be > 0, got -1"]),
+    ("brownian-kappa-string", _model({"kind": "brownian", "kappa": "1"}),
+     ["model.kappa: expected a number, got '1'"]),
+    ("stable-beta-missing", _model({"kind": "stable"}),
+     ["model.beta: expected a number, got None"]),
+    ("stable-beta-above-two-c-zero",
+     _model({"kind": "stable", "beta": 2.5, "c": 0}),
+     ["model.c: must be > 0, got 0", "model.beta: beta must lie in (0,2]"]),
+    ("stable-beta-zero-c-bool",
+     _model({"kind": "stable", "beta": 0, "c": True}),
+     ["model.c: expected a number, got True",
+      "model.beta: beta must lie in (0,2]"]),
+    ("khintchine-nu-missing", _model(_KHIN),
+     ["model.nu: expected an object describing the jump density"]),
+    ("khintchine-nu-not-object", _nu([1]),
+     ["model.nu: expected an object describing the jump density"]),
+    ("khintchine-nu-family-unknown", _nu({"family": "gauss"}),
+     ["model.nu.family: expected one of ['power_law', 'table'], "
+      "got 'gauss'"]),
+    ("khintchine-sigma2-negative", _nu(_POWER, sigma2=-0.5),
+     ["model.sigma2: must be >= 0, got -0.5"]),
+    ("power-law-fields",
+     _nu({"family": "power_law", "beta": 2.0, "z_min": -1, "z_max": 0,
+          "scale": 1}),
+     ["model.nu.scale: unknown key",
+      "model.nu.coeff: expected a number, got None",
+      "model.nu.beta: beta must lie in (0,2)",
+      "model.nu.z_min: must be >= 0, got -1",
+      "model.nu.z_max: must be > 0, got 0"]),
+    ("power-law-support-reversed-sigma2-string",
+     _nu(dict(_POWER, z_min=2.0, z_max=1.0), sigma2="x"),
+     ["model.sigma2: expected a number, got 'x'",
+      "model.nu: support must satisfy 0 <= z_min < z_max"]),
+    ("table-z-not-array", _nu({"family": "table", "z": 1, "rho": [1, 2]}),
+     ["model.nu: table family needs z and rho arrays"]),
+    ("table-rho-missing-unknown-key",
+     _nu({"family": "table", "z": [1, 2], "w": 0}),
+     ["model.nu.w: unknown key",
+      "model.nu: table family needs z and rho arrays"]),
+    ("table-z-decreasing",
+     _nu({"family": "table", "z": [2.0, 1.0], "rho": [1.0, 1.0]}),
+     ["model.nu: table abscissae must be positive increasing"]),
+    ("table-z-string-element",
+     _nu({"family": "table", "z": ["a", 2.0], "rho": [1.0, 1.0]}),
+     ["model.nu: could not convert string to float: 'a'"]),
+    ("table-rho-negative",
+     _nu({"family": "table", "z": [1.0, 2.0], "rho": [1.0, -1.0]}),
+     ["model.nu: table densities must be nonnegative"]),
+    ("seed-string", _with(seed="abc"), ["seed: expected a number, got 'abc'"]),
+    ("seed-fraction", _with(seed=1.5), ["seed: expected an integer, got 1.5"]),
+    ("seed-null", _with(seed=None), ["seed: expected a number, got None"]),
+    ("out-dir-number", _with(out_dir=5),
+     ["out_dir: expected a string, got 5"]),
+    ("unknown-top-key-section-not-object", _with(bogus=1, check=[1]),
+     ["config.bogus: unknown key", "check: expected an object"]),
+    ("sections-not-objects",
+     _with(kernel="x", synth=1, spde=True, localtime=[], verify="v"),
+     ["kernel: expected an object", "synth: expected an object",
+      "spde: expected an object", "localtime: expected an object",
+      "verify: expected an object"]),
+    ("check-fields",
+     _with(check={"alpha": 0, "xi_min": 10.0, "xi_max": 5.0, "eps_min": "x",
+                  "points_per_decade": 2.5, "xi": 1}),
+     ["check.xi: unknown key", "check.alpha: must be > 0, got 0",
+      "check.xi_min: must be below check.xi_max, got 10.0 >= 5.0",
+      "check.eps_min: expected a number, got 'x'",
+      "check.points_per_decade: expected an integer, got 2.5"]),
+    ("check-min-not-below-max-integers",
+     _with(check={"xi_min": 4, "xi_max": 2, "eps_min": 1, "eps_max": 1,
+                  "points_per_decade": 0}),
+     ["check.xi_min: must be below check.xi_max, got 4.0 >= 2.0",
+      "check.eps_min: must be below check.eps_max, got 1.0 >= 1.0",
+      "check.points_per_decade: must be > 0, got 0"]),
+    ("check-null-values", _with(check={"alpha": None, "xi_max": None}),
+     ["check.alpha: expected a number, got None",
+      "check.xi_max: expected a number, got None"]),
+    ("kernel-fields",
+     _with(kernel={"alphas": [], "ts": [1, -1, "a"], "rs": "x",
+                   "tolerance": 0, "tol": 1}),
+     ["kernel.tol: unknown key", "kernel.alphas: expected a nonempty array",
+      "kernel.ts[1]: must be > 0, got -1",
+      "kernel.ts[2]: expected a number, got 'a'",
+      "kernel.rs: expected an array", "kernel.tolerance: must be > 0, got 0"]),
+    ("kernel-arrays-wrong-type",
+     _with(kernel={"alphas": "a", "ts": None, "tolerance": -1e-6}),
+     ["kernel.alphas: expected a nonempty array",
+      "kernel.ts: expected a nonempty array",
+      "kernel.tolerance: must be > 0, got -1e-06"]),
+    ("synth-fields",
+     _with(synth={"alpha": -1, "t": "1", "replications": 0, "x_points": 2.5,
+                  "x_step": 0, "derivative_order": -1, "lag": 1}),
+     ["synth.lag: unknown key", "synth.alpha: must be > 0, got -1",
+      "synth.t: expected a number, got '1'",
+      "synth.replications: must be > 0, got 0",
+      "synth.x_points: expected an integer, got 2.5",
+      "synth.x_step: must be > 0, got 0",
+      "synth.derivative_order: must be >= 0, got -1"]),
+    ("synth-grid-not-object", _with(synth={"grid": 5}),
+     ["synth.grid: expected an object"]),
+    ("synth-grid-fields",
+     _with(synth={"grid": {"cutoff": -1, "modes": 1.5, "bogus": 1}}),
+     ["synth.grid.bogus: unknown key",
+      "synth.grid.cutoff: must be > 0, got -1",
+      "synth.grid.modes: expected an integer, got 1.5"]),
+    ("spde-fields",
+     _with(spde={"modes": 64, "dt": -1, "alpha": -0.5, "circumference": 0,
+                 "t_end": "x", "paths": 0, "probes": []}),
+     ["spde.circumference: must be > 0, got 0",
+      "spde.modes: mode count must be odd",
+      "spde.alpha: must be >= 0, got -0.5", "spde.dt: must be > 0, got -1",
+      "spde.t_end: expected a number, got 'x'",
+      "spde.paths: must be > 0, got 0",
+      "spde.probes: expected a nonempty array"]),
+    ("spde-modes-fraction-probes-string",
+     _with(spde={"modes": 2.5, "probes": "x"}),
+     ["spde.modes: expected an integer, got 2.5",
+      "spde.probes: expected a nonempty array"]),
+    ("localtime-fields",
+     _with(localtime={"experiment": "x", "beta": 1.0, "c": 0, "alpha": 0,
+                      "a": "x", "b": None, "t": 0, "dt": -1, "eps": 0,
+                      "paths": 1.5}),
+     ["localtime.experiment: expected 'resolvent' or 'corollary'",
+      "localtime.beta: beta must lie in (1,2]",
+      "localtime.c: must be > 0, got 0",
+      "localtime.alpha: must be > 0, got 0",
+      "localtime.a: expected a number, got 'x'",
+      "localtime.b: expected a number, got None",
+      "localtime.t: must be > 0, got 0", "localtime.dt: must be > 0, got -1",
+      "localtime.eps: must be > 0, got 0",
+      "localtime.paths: expected an integer, got 1.5"]),
+    ("localtime-beta-above-two-experiment-null",
+     _with(localtime={"beta": 2.5, "experiment": None}),
+     ["localtime.experiment: expected 'resolvent' or 'corollary'",
+      "localtime.beta: beta must lie in (1,2]"]),
+    ("verify-fields",
+     _with(verify={"suites": [], "paths_scale": 0, "tolerance_scale": "x"}),
+     ["verify.suites: expected a nonempty array",
+      "verify.paths_scale: must be > 0, got 0",
+      "verify.tolerance_scale: expected a number, got 'x'"]),
+    ("verify-unknown-suite-unknown-key",
+     _with(verify={"suites": ["kernels", "nope"], "suite": "levy"}),
+     ["verify.suite: unknown key", "verify.suites: unknown suite 'nope'"]),
+    ("null-section-with-errors-elsewhere",
+     _with(check=None, spde={"modes": 4}, bogus2=None),
+     ["config.bogus2: unknown key", "spde.modes: mode count must be odd"]),
+]
+
+
+@pytest.mark.parametrize("text,expected", [case[1:] for case in _GOLDEN],
+                         ids=[case[0] for case in _GOLDEN])
+def test_parse_golden_messages(text, expected):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert sorted(exc.value.errors) == sorted(expected)
+
+
+# json.loads reads NaN and Infinity.  Each of these once got past the checks
+# (exit 0) or escaped parse_config as a traceback (exit 1).
+@pytest.mark.parametrize("command,sections,named", [
+    ("check", '"check": {"alpha": NaN}', "check.alpha"),
+    ("kernel", '"kernel": {"alphas": [Infinity], "ts": [1.0], "rs": [0.0]}',
+     "kernel.alphas[0]"),
+    ("check", '"check": {"points_per_decade": Infinity}',
+     "check.points_per_decade"),
+    ("spde", '"spde": {"modes": Infinity}', "spde.modes"),
+    ("check", '"seed": NaN', "seed"),
+], ids=["check-alpha-nan", "kernel-alphas-inf", "points-per-decade-inf",
+        "spde-modes-inf", "seed-nan"])
+def test_cli_non_finite_number_exit_2(tmp_path, capsys, command, sections,
+                                      named):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"model": {"kind": "stable", "beta": 1.5}, '
+                    f'"out_dir": "{tmp_path / "out"}", {sections}}}')
+    assert main([command, "--config", str(path)]) == 2
+    assert f"{named}: expected a finite number" in capsys.readouterr().err
+
+
+def test_parse_z_max_infinity_means_null():
+    nu = {"family": "power_law", "coeff": 0.3, "beta": 1.2}
+    unbounded = parse_config(_nu(dict(nu, z_max=None))).model.nu
+    infinite = parse_config(_nu(nu).replace('"beta": 1.2',
+                                            '"beta": 1.2, "z_max": Infinity'))
+    assert infinite.model.nu.z_max == unbounded.z_max == math.inf
+    with pytest.raises(ConfigError) as exc:
+        parse_config(_nu(nu).replace('"beta": 1.2', '"beta": 1.2, '
+                                     '"z_max": NaN'))
+    assert exc.value.errors == [
+        "model.nu.z_max: expected a finite number, got nan"]
+
+
+def test_parse_table_density_must_be_finite():
+    with pytest.raises(ConfigError) as exc:
+        parse_config(_nu({"family": "table", "z": [1.0, 2.0],
+                          "rho": [1.0, 1.0]}).replace("2.0", "Infinity"))
+    assert exc.value.errors == ["model.nu: table z and rho must be finite"]
+
+
+def test_cli_bad_lags_exit_2_naming_key(tmp_path, capsys):
+    payload = dict(MINIMAL, out_dir=str(tmp_path / "out"),
+                   synth={"x_points": 16, "replications": 20, "lags": "abc"})
+    assert main(["synth", "--config", write_cfg(tmp_path, payload)]) == 2
+    assert "synth.lags: expected an array" in capsys.readouterr().err
+
+
+def test_parse_array_elements_named_by_index():
+    with pytest.raises(ConfigError) as exc:
+        parse_config(_with(kernel={"rs": ["a"]}, spde={"probes": [0.0, "a"]},
+                           synth={"lags": [1.0, None]}))
+    assert sorted(exc.value.errors) == [
+        "kernel.rs[0]: expected a number, got 'a'",
+        "spde.probes[1]: expected a number, got 'a'",
+        "synth.lags[1]: expected a number, got None"]
+    for lags in ([], None, [0.0, 2.5]):
+        assert parse_config(_with(synth={"lags": lags})).synth["lags"] == lags
+
+
+def test_parse_seed_range():
+    # rng keys a stream by the seed modulo 2**64: -1 and 2**64 - 1 would
+    # draw the same numbers under different provenance headers
+    for seed in (-1, 2**64, 1e30):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(_with(seed=seed))
+        assert exc.value.errors == ["seed: seed must lie in [0,2**64)"]
+    for seed in (0, 2**64 - 1, 7.0):
+        assert parse_config(_with(seed=seed)).seed == int(seed)
+
+
+@pytest.mark.parametrize("flag,value,named", [
+    ("--seed", "-1", "seed: seed must lie in [0,2**64)"),
+    ("--paths", "0", "spde.paths: must be > 0, got 0"),
+    ("--tol", "nan", "kernel.tolerance: expected a finite number, got nan"),
+], ids=["seed-negative", "paths-zero", "tol-nan"])
+def test_cli_flags_are_validated(tmp_path, capsys, flag, value, named):
+    payload = dict(MINIMAL, out_dir=str(tmp_path / "out"),
+                   kernel={"alphas": [1.0], "ts": [1.0], "rs": [0.0]})
+    argv = ["kernel", "--config", write_cfg(tmp_path, payload), flag, value]
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
