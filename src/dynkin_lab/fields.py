@@ -59,7 +59,7 @@ class SpectralGrid:
     n_modes: int
 
     def __post_init__(self):
-        if self.cutoff <= 0:
+        if not self.cutoff > 0:
             raise ValueError("cutoff must be > 0")
         if self.n_modes < 2:
             raise ValueError("need at least 2 modes")
@@ -348,11 +348,7 @@ def ensemble_values(model: LevyModel, kind: str, alpha: float | None,
 
 @dataclass
 class RunningMoments:
-    """Mergeable (count, sum, sum of squares) accumulator.
-
-    The merge is associative and commutative, so replicate batches can be
-    accumulated in any order or in parallel.
-    """
+    """Running (count, sum, sum of squares) of the values added."""
 
     count: int = 0
     total: float = 0.0
@@ -363,11 +359,6 @@ class RunningMoments:
         self.count += values.size
         self.total += float(values.sum())
         self.total_sq += float((values * values).sum())
-
-    def merge(self, other: "RunningMoments") -> "RunningMoments":
-        return RunningMoments(self.count + other.count,
-                              self.total + other.total,
-                              self.total_sq + other.total_sq)
 
     @property
     def mean(self) -> float:

@@ -77,13 +77,13 @@ class KernelQuery:
     tolerance: float = 1e-6
 
     def __post_init__(self):
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ValueError("alpha must be > 0")
-        if self.t <= 0:
+        if not self.t > 0:
             raise ValueError("t must be > 0")
-        if self.cutoff is not None and self.cutoff <= 0:
+        if self.cutoff is not None and not self.cutoff > 0:
             raise ValueError("cutoff must be > 0")
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise ValueError("tolerance must be > 0")
 
 

@@ -156,7 +156,7 @@ class LevyModel:
 
     @staticmethod
     def brownian(kappa: float) -> "LevyModel":
-        if kappa <= 0:
+        if not kappa > 0:
             raise ValueError("diffusion coefficient kappa must be > 0")
         return LevyModel("brownian", kappa=kappa)
 
@@ -164,13 +164,13 @@ class LevyModel:
     def stable(beta: float, c: float) -> "LevyModel":
         if not 0.0 < beta <= 2.0:
             raise ValueError("beta must lie in (0,2]")
-        if c <= 0:
+        if not c > 0:
             raise ValueError("scale c must be > 0")
         return LevyModel("stable", beta=beta, c=c)
 
     @staticmethod
     def khintchine(sigma2: float, nu: LevyMeasure) -> "LevyModel":
-        if sigma2 < 0:
+        if not sigma2 >= 0:
             raise ValueError("gaussian coefficient sigma2 must be >= 0")
         return LevyModel("khintchine", sigma2=sigma2, nu=nu)
 

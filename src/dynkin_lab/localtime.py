@@ -40,7 +40,6 @@ class PathConfig:
     beta: float
     c: float
     dt: float
-    horizon: float | None = None
     x0: float = 0.0
     eps: float | None = None
     seed: int = 0
@@ -49,13 +48,11 @@ class PathConfig:
         if not 1.0 < self.beta <= 2.0:
             raise ValueError("beta must lie in (1,2]: local times exist "
                              "exactly when the existence integral converges")
-        if self.c <= 0:
+        if not self.c > 0:
             raise ValueError("scale c must be > 0")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt must be > 0")
-        if self.horizon is not None and self.horizon <= 0:
-            raise ValueError("horizon must be > 0")
-        if self.eps is not None and self.eps <= 0:
+        if self.eps is not None and not self.eps > 0:
             raise ValueError("eps must be > 0")
 
     @property
@@ -72,7 +69,6 @@ class LocalTimeEstimate:
     level: float
     value: float
     bandwidth: float
-    path_count: int = 1
 
 
 def stable_increment(beta: float, c: float, dt: float,

@@ -9,7 +9,9 @@ where the complex innovation variance is chosen so every grid-point marginal
 is exact in law for any step size (the update is Duhamel's formula, not an
 Euler scheme).  alpha = 0 is the heat equation; alpha > 0 the cable
 equation.  Only modes n >= 0 are stored; negative modes are materialised by
-conjugation, so Hermitian symmetry is structural.
+conjugation.  The zero mode starts at 0, decays by a real factor and gets
+an imaginary innovation scaled by 0.0, so Im u_0 stays +0.0: Hermitian
+symmetry comes from the step's own arithmetic.
 """
 
 from __future__ import annotations
@@ -32,13 +34,13 @@ class TorusConfig:
     dt: float
 
     def __post_init__(self):
-        if self.circumference <= 0:
+        if not self.circumference > 0:
             raise ValueError("circumference must be > 0")
         if self.n_modes < 1 or self.n_modes % 2 == 0:
             raise ValueError("n_modes must be odd (symmetric mode set)")
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ValueError("alpha must be >= 0")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt must be > 0")
 
     @property
@@ -72,15 +74,27 @@ def initial_state(cfg: TorusConfig, seed: int, path: int = 0) -> TorusState:
                       path, 0)
 
 
+def _rates(cfg: TorusConfig, model: LevyModel) -> np.ndarray:
+    """alpha + 2 RePsi(k_n) for n = 0..half: the decay rate of E|u_n|^2."""
+    return cfg.alpha + 2.0 * np.asarray(re_psi(model, cfg.frequencies),
+                                        dtype=float)
+
+
+def _fold(cfg: TorusConfig, weights: np.ndarray, lag: float) -> float:
+    """w_0 + 2 sum_{n>=1} w_n cos(k_n lag): the Hermitian mode sum."""
+    k = cfg.frequencies
+    return float(weights[0]
+                 + 2.0 * np.sum(weights[1:] * np.cos(k[1:] * lag)))
+
+
 class StepOperator:
     """Precomputed one-step update for a fixed (config, model) pair."""
 
     def __init__(self, cfg: TorusConfig, model: LevyModel):
         self.cfg = cfg
-        k = cfg.frequencies
-        psi = np.asarray(re_psi(model, k), dtype=float)
-        self.decay = np.exp(-(psi + 0.5 * cfg.alpha) * cfg.dt)
-        w = window(2.0 * psi + cfg.alpha, cfg.dt)
+        rate = _rates(cfg, model)
+        self.decay = np.exp(-0.5 * rate * cfg.dt)
+        w = window(rate, cfg.dt)
         # complex modes: Var(Re) = Var(Im) = w / (2L); the real zero mode
         # carries the full variance w / L
         self.sigma_zero = math.sqrt(w[0] / cfg.circumference)
@@ -104,6 +118,22 @@ class StepOperator:
                           state.path, state.step_index + 1)
 
 
+def _paths(op: StepOperator, seed: int, paths: int, stops):
+    """The per-path loop every torus ensemble shares.
+
+    Yields, for each path from the zero state, its states after each step
+    count in the increasing ``stops``; it steps only through ``op.apply``.
+    """
+    for p in range(paths):
+        state = initial_state(op.cfg, seed, path=p)
+        seen = []
+        for stop in stops:
+            for _ in range(stop - state.step_index):
+                state = op.apply(state)
+            seen.append(state)
+        yield seen
+
+
 def snapshot(state: TorusState, cfg: TorusConfig, x) -> np.ndarray:
     """Field values u(x) = sum_n u_n exp(i k_n x) for x in [0, L)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -122,34 +152,26 @@ def snapshot(state: TorusState, cfg: TorusConfig, x) -> np.ndarray:
 
 def mode_variance(cfg: TorusConfig, model: LevyModel, t: float) -> np.ndarray:
     """Exact E|u_n(t)|^2 for n = 0..half (limit t/L at zero rate)."""
-    k = cfg.frequencies
-    rate = 2.0 * np.asarray(re_psi(model, k), dtype=float) + cfg.alpha
-    return window(rate, t) / cfg.circumference
+    return window(_rates(cfg, model), t) / cfg.circumference
 
 
 def point_variance_exact(cfg: TorusConfig, model: LevyModel,
                          t: float) -> float:
     """(1/L) sum_n (1 - exp(-(2 RePsi(k_n) + alpha) t))/(2 RePsi + alpha)."""
-    mv = mode_variance(cfg, model, t)
-    return float(mv[0] + 2.0 * np.sum(mv[1:]))
+    return _fold(cfg, mode_variance(cfg, model, t), 0.0)
 
 
 def stationary_point_variance(cfg: TorusConfig, model: LevyModel) -> float:
     """(1/L) sum_n 1/(alpha + 2 RePsi(k_n)): the torus stationary variance."""
     if cfg.alpha <= 0:
         raise ValueError("stationary variance needs alpha > 0")
-    k = cfg.frequencies
-    rate = 2.0 * np.asarray(re_psi(model, k), dtype=float) + cfg.alpha
-    vals = 1.0 / (rate * cfg.circumference)
-    return float(vals[0] + 2.0 * np.sum(vals[1:]))
+    return _fold(cfg, 1.0 / (_rates(cfg, model) * cfg.circumference), 0.0)
 
 
 def point_covariance_exact(cfg: TorusConfig, model: LevyModel, t: float,
                            lag: float) -> float:
     """Exact E[u(t,x) u(t,x+lag)] = (1/L) sum_n w_n(t) cos(k_n lag)."""
-    mv = mode_variance(cfg, model, t)
-    k = cfg.frequencies
-    return float(mv[0] + 2.0 * np.sum(mv[1:] * np.cos(k[1:] * lag)))
+    return _fold(cfg, mode_variance(cfg, model, t), lag)
 
 
 def image_sum_correction(cfg: TorusConfig, model: LevyModel) -> float:
@@ -222,8 +244,8 @@ def run_moments(cfg: TorusConfig, model: LevyModel, t_end: float,
         raise ValueError("t_end must be an integer multiple of dt")
     half_steps = n_steps // 2
     op = StepOperator(cfg, model)
-    probe_steps = {half_steps: 0, n_steps: 1} if half_steps > 0 \
-        else {n_steps: 1}
+    stops, slots = ((half_steps, n_steps), (0, 1)) if half_steps > 0 \
+        else ((n_steps,), (1,))
     sums = np.zeros((2, probes.size))
     sums_sq = np.zeros((2, probes.size))
     cross = np.zeros((probes.size, probes.size))
@@ -244,17 +266,12 @@ def run_moments(cfg: TorusConfig, model: LevyModel, t_end: float,
     def fast_values(state):
         return 2.0 * (state.modes.real @ cos_b - state.modes.imag @ sin_b)
 
-    for p in range(paths):
-        state = initial_state(cfg, seed, path=p)
-        for s in range(1, n_steps + 1):
-            state = op.apply(state)
-            slot = probe_steps.get(s)
-            if slot is not None:
-                vals = fast_values(state)
-                sums[slot] += vals
-                sums_sq[slot] += vals * vals
-                if slot == 1:
-                    cross += np.outer(vals, vals)
+    for states in _paths(op, seed, paths, stops):
+        for slot, state in zip(slots, states):
+            vals = fast_values(state)
+            sums[slot] += vals
+            sums_sq[slot] += vals * vals
+        cross += np.outer(vals, vals)   # the values at t_end
     rows = []
     var_by_slot = []
     for slot, t in ((0, half_steps * cfg.dt), (1, n_steps * cfg.dt)):

@@ -374,18 +374,3 @@ def test_field_csv_export_roundtrip():
     assert "kind=eta" in text1 and "seed=2" in text1
     lines = text1.strip().split("\n")
     assert lines[-1].split(",")[0] == repr(0.25)
-
-
-def test_running_moments_merge():
-    rng = np.random.default_rng(0)
-    xs = rng.normal(size=1000)
-    a = fields.RunningMoments()
-    a.add(xs[:400])
-    b = fields.RunningMoments()
-    b.add(xs[400:])
-    merged = a.merge(b)
-    whole = fields.RunningMoments()
-    whole.add(xs)
-    assert merged.count == whole.count
-    assert merged.mean == pytest.approx(whole.mean, rel=1e-12)
-    assert merged.variance == pytest.approx(whole.variance, rel=1e-12)

@@ -4,10 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from dynkin_lab.fields import SpectralGrid
+from dynkin_lab.kernels import KernelQuery
 from dynkin_lab.levy import (INCONCLUSIVE, SATISFIED, VIOLATED, LevyMeasure,
                              LevyModel, _jump_exponent, averaged_exponent,
                              condition_report, feller_functions, re_psi,
                              stable_jump_coefficient)
+from dynkin_lab.localtime import PathConfig
+from dynkin_lab.torus import TorusConfig
 from dynkin_lab.verify import check_evenness, check_stable_consistency
 
 _TABLE_Z = np.geomspace(0.01, 10.0, 40)
@@ -22,6 +26,35 @@ _MEASURES = [
     (0.0, lambda: LevyMeasure.power_law(1.0, 1.5, z_min=5.0)),
     (0.0, lambda: LevyMeasure.from_table(_TABLE_Z, _TABLE_Z ** -2.5)),
 ]
+
+
+_NAN = math.nan
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: LevyModel.brownian(_NAN), "kappa must be > 0"),
+    (lambda: LevyModel.stable(1.5, _NAN), "c must be > 0"),
+    (lambda: LevyModel.khintchine(_NAN, LevyMeasure.power_law(1.0, 1.5)),
+     "sigma2 must be >= 0"),
+    (lambda: PathConfig(1.5, _NAN, 1e-3), "c must be > 0"),
+    (lambda: PathConfig(1.5, 1.0, _NAN), "dt must be > 0"),
+    (lambda: PathConfig(1.5, 1.0, 1e-3, eps=_NAN), "eps must be > 0"),
+    (lambda: TorusConfig(_NAN, 33, 1.0, 0.1), "circumference must be > 0"),
+    (lambda: TorusConfig(16.0, 33, _NAN, 0.1), "alpha must be >= 0"),
+    (lambda: TorusConfig(16.0, 33, 1.0, _NAN), "dt must be > 0"),
+    (lambda: SpectralGrid(_NAN, 16), "cutoff must be > 0"),
+    (lambda: KernelQuery(_NAN, 1.0), "alpha must be > 0"),
+    (lambda: KernelQuery(1.0, _NAN), "t must be > 0"),
+    (lambda: KernelQuery(1.0, 1.0, cutoff=_NAN), "cutoff must be > 0"),
+    (lambda: KernelQuery(1.0, 1.0, tolerance=_NAN), "tolerance must be > 0"),
+], ids=["brownian-kappa", "stable-c", "khintchine-sigma2", "path-c",
+        "path-dt", "path-eps", "torus-circumference", "torus-alpha",
+        "torus-dt", "grid-cutoff", "query-alpha", "query-t", "query-cutoff",
+        "query-tolerance"])
+def test_guards_reject_nan(build, message):
+    # a guard written x <= 0 is false for NaN and let it through
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_stable_closed_form():

@@ -83,15 +83,26 @@ def test_hermitian_symmetry_structural():
     assert res.passed, res.detail
 
 
+def test_hermitian_check_catches_an_imaginary_zero_mode(monkeypatch):
+    # a nonzero imaginary innovation of the zero mode shows from the first
+    # step, so the check's fixed run cannot miss it
+    init = StepOperator.__init__
+
+    def faulty(self, cfg, model):
+        init(self, cfg, model)
+        self.noise_scale[1] = self.sigma_zero
+
+    monkeypatch.setattr(StepOperator, "__init__", faulty)
+    res = check_hermitian_preservation(BROWNIAN, 9, 1.0, 1.0)
+    assert not res.passed, res.detail
+
+
 def test_mode_variance_matches_ensemble():
     cfg = TorusConfig(16.0, 17, 2.0, 0.1)
-    op = StepOperator(cfg, BROWNIAN)
     paths, steps = 6000, 8
     acc = np.zeros(cfg.half + 1)
-    for p in range(paths):
-        st = initial_state(cfg, seed=21, path=p)
-        for _ in range(steps):
-            st = op.apply(st)
+    for (st,) in torus._paths(StepOperator(cfg, BROWNIAN), 21, paths,
+                              (steps,)):
         acc += np.abs(st.modes) ** 2
     emp = acc / paths
     exact = mode_variance(cfg, BROWNIAN, steps * cfg.dt)
