@@ -3,13 +3,15 @@
 One JSON configuration drives every command; flags override the config
 (flags win) and are validated with it.  Exit status contract: 0 all pass,
 1 property failure, 2 usage/config error, 3 numerical non-convergence.  All
-output files are written atomically (temp + rename) and carry a provenance
-header comment sufficient to reproduce them bit for bit.
+output files are written atomically (temp + rename); every CSV table goes
+through ``_write_table`` and carries a provenance comment sufficient to
+reproduce it bit for bit.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -51,6 +53,19 @@ def _provenance(cfg: ExperimentConfig, command: str, extra: str = "") -> str:
     return base + (" " + extra if extra else "")
 
 
+def _write_table(cfg, name, comments, header, rows):
+    """Write the table ``name`` into the output directory.
+
+    One ``# `` line per comment, then the header, then one line per row.  A
+    float is written by repr, so it reads back bit for bit; any other value
+    by str.
+    """
+    lines = [f"# {c}" for c in comments] + [header]
+    lines += [",".join(repr(float(v)) if isinstance(v, float) else str(v)
+                       for v in row) for row in rows]
+    _atomic_write(os.path.join(cfg.out_dir, name), "\n".join(lines) + "\n")
+
+
 def _write_summary(cfg, command, lines):
     text = "\n".join(lines) + "\n"
     _atomic_write(os.path.join(cfg.out_dir, f"{command}_summary.txt"), text)
@@ -65,15 +80,13 @@ def run_check(cfg: ExperimentConfig) -> int:
     eps_grid = np.geomspace(sec["eps_min"], sec["eps_max"], max(
         8, int(ppd * math.log10(sec["eps_max"] / sec["eps_min"]))))
     report = condition_report(cfg.model, sec["alpha"], xi_grid, eps_grid)
-    prov = _provenance(cfg, "check", f"alpha={sec['alpha']}")
-    rows = [f"# {prov}", "table,abscissa,value"]
-    for name, table in (("hawkes", report.hawkes_trend),
-                        ("quasi_increasing", report.quasi_increasing_ratio),
-                        ("kg", report.kg_ratio)):
-        for a, v in table:
-            rows.append(f"{name},{a!r},{v!r}")
-    _atomic_write(os.path.join(cfg.out_dir, "check.csv"),
-                  "\n".join(rows) + "\n")
+    tables = (("hawkes", report.hawkes_trend),
+              ("quasi_increasing", report.quasi_increasing_ratio),
+              ("kg", report.kg_ratio))
+    _write_table(cfg, "check.csv",
+                 [_provenance(cfg, "check", f"alpha={sec['alpha']}")],
+                 "table,abscissa,value",
+                 [(name, a, v) for name, table in tables for a, v in table])
     lines = [f"existence integral (alpha={sec['alpha']}): "
              f"{report.dalang_integral!r} "
              f"(tail bound {report.dalang_tail_bound!r})"]
@@ -85,30 +98,24 @@ def run_check(cfg: ExperimentConfig) -> int:
 def run_kernel(cfg: ExperimentConfig) -> int:
     sec = cfg.kernel
     prov = _provenance(cfg, "kernel")
-    rows = [f"# {prov}", "alpha,t,r,u_alpha,pbar"]
-    for alpha in sec["alphas"]:
-        for t in sec["ts"]:
-            for r in sec["rs"]:
-                rows.append(f"{float(alpha)!r},{float(t)!r},{float(r)!r},"
-                            f"{u_alpha(cfg.model, alpha, r)!r},"
-                            f"{pbar_density(cfg.model, t, r)!r}")
-    _atomic_write(os.path.join(cfg.out_dir, "kernels.csv"),
-                  "\n".join(rows) + "\n")
-    rows = [f"# {prov}", "alpha,t,varU,varV,varS,varEta,tail_bound"]
-    summary = []
+    _write_table(cfg, "kernels.csv", [prov], "alpha,t,r,u_alpha,pbar",
+                 [(float(alpha), float(t), float(r),
+                   u_alpha(cfg.model, alpha, r),
+                   pbar_density(cfg.model, t, r))
+                  for alpha in sec["alphas"] for t in sec["ts"]
+                  for r in sec["rs"]])
+    rows, summary = [], []
     for alpha in sec["alphas"]:
         for t in sec["ts"]:
             prof = variance_profile(
                 cfg.model, KernelQuery(alpha, t,
                                        tolerance=sec["tolerance"]))
-            rows.append(f"{float(alpha)!r},{float(t)!r},{prof.varU!r},"
-                        f"{prof.varV!r},{prof.varS!r},{prof.varEta!r},"
-                        f"{prof.tail_bound!r}")
+            rows.append((float(alpha), float(t), *prof, prof.tail_bound))
             summary.append(f"alpha={alpha} t={t}: varU={prof.varU:.6g} "
                            f"varV={prof.varV:.6g} varS={prof.varS:.6g} "
                            f"varEta={prof.varEta:.6g}")
-    _atomic_write(os.path.join(cfg.out_dir, "variances.csv"),
-                  "\n".join(rows) + "\n")
+    _write_table(cfg, "variances.csv", [prov],
+                 "alpha,t,varU,varV,varS,varEta,tail_bound", rows)
     _write_summary(cfg, "kernel", summary)
     return EXIT_OK
 
@@ -132,9 +139,14 @@ def run_synth(cfg: ExperimentConfig) -> int:
                                            derivative_order=n_deriv)
     prov = _provenance(cfg, "synth", f"alpha={alpha} t={t}")
     for samp in (v, s, eta) + ((deriv,) if deriv is not None else ()):
-        name = f"field_{samp.kind}.csv"
-        _atomic_write(os.path.join(cfg.out_dir, name),
-                      fields.field_csv_text(samp, prov))
+        head = (f"kind={samp.kind} alpha={samp.alpha} t={samp.t} "
+                f"derivative_order={samp.derivative_order} "
+                f"seed={samp.seed} replicate={samp.replicate} "
+                f"cutoff={samp.grid.cutoff!r} modes={samp.grid.n_modes} "
+                f"truncation_tail={samp.bias.truncation_tail!r} "
+                f"riemann_error={samp.bias.riemann_error!r}")
+        _write_table(cfg, f"field_{samp.kind}.csv", [prov, head], "x,value",
+                     zip(samp.x, samp.values))
     lags = sec["lags"]
     if lags is None:
         lags = [0.0] + [x_step * m for m in (8, 16, 32, 64)]
@@ -142,15 +154,13 @@ def run_synth(cfg: ExperimentConfig) -> int:
     pts = np.unique(np.concatenate([[0.0], np.asarray(lags, dtype=float)]))
     vals = fields.ensemble_values(cfg.model, "eta", alpha, t, grid, pts,
                                   cfg.seed, reps)
-    emp, se = [], []
+    rows = []
     for r in lags:
-        j = int(np.argmin(np.abs(pts - r)))
-        prod = vals[:, 0] * vals[:, j]
-        emp.append(float(np.mean(prod)))
-        se.append(float(np.std(prod) / math.sqrt(reps)))
-    _atomic_write(os.path.join(cfg.out_dir, "ensemble_stats.csv"),
-                  fields.ensemble_stats_csv_text(cfg.model, "eta", alpha, t,
-                                                 grid, lags, emp, se, prov))
+        emp, se = fields.ensemble_covariance(
+            vals, int(np.argmin(np.abs(pts - r))))
+        rows.append((float(r), emp, u_alpha(cfg.model, alpha, float(r)), se))
+    _write_table(cfg, "ensemble_stats.csv", [prov],
+                 "lag,empirical_cov,exact_cov,stderr", rows)
     _write_summary(cfg, "synth", [
         f"fields on {x.size} points, grid cutoff={grid.cutoff:.6g} "
         f"modes={grid.n_modes}",
@@ -170,14 +180,11 @@ def run_spde(cfg: ExperimentConfig) -> int:
     prov = _provenance(cfg, "spde",
                        f"L={tc.circumference} N={tc.n_modes} "
                        f"alpha={tc.alpha} dt={tc.dt}")
-    _atomic_write(os.path.join(cfg.out_dir, "moments.csv"),
-                  report.csv_text(prov))
-    cov_lines = [f"# {prov}", "t,x1,x2,cov,exact_cov"]
-    for c in report.covariances:
-        cov_lines.append(f"{c.t!r},{c.x1!r},{c.x2!r},{c.cov!r},"
-                         f"{c.exact_cov!r}")
-    _atomic_write(os.path.join(cfg.out_dir, "covariances.csv"),
-                  "\n".join(cov_lines) + "\n")
+    _write_table(cfg, "moments.csv", [prov],
+                 "t,x,mean,var,exact_var,stderr,paths",
+                 map(dataclasses.astuple, report.rows))
+    _write_table(cfg, "covariances.csv", [prov], "t,x1,x2,cov,exact_cov",
+                 map(dataclasses.astuple, report.covariances))
     lines = [f"paths={sec['paths']} t_end={sec['t_end']}"]
     if report.image_correction is not None:
         lines.append(f"image-sum correction: {report.image_correction:.3e}")
@@ -202,25 +209,22 @@ def run_localtime(cfg: ExperimentConfig) -> int:
     paths = int(sec["paths"])
     if sec["experiment"] == "resolvent":
         res = localtime.resolvent_check(pc, alpha, a, b, paths)
-        verdict = abs(res.estimate - res.exact) <= 3.0 * res.stderr \
-            + 0.05 * res.exact
-        rows = [(alpha, t, a, b, res.estimate, res.exact, res.stderr,
-                 0.0, paths, res.eps, res.dt, verdict)]
-        lines = [f"resolvent estimate={res.estimate:.6g} "
-                 f"exact={res.exact:.6g} se={res.stderr:.2e} "
-                 f"verdict={'pass' if verdict else 'fail'}"]
+        row = (alpha, t, a, b, res.estimate, res.exact, res.stderr, 0.0,
+               paths, res.eps, res.dt, res.verdict)
+        line = (f"resolvent estimate={res.estimate:.6g} "
+                f"exact={res.exact:.6g} se={res.stderr:.2e} ")
     else:
         res = localtime.corollary_test(pc, alpha, a, b, t, paths)
-        verdict = res.verdict
-        rows = [(alpha, t, a, b, res.lhs, res.rhs, res.lhs_se, res.rhs_se,
-                 paths, pc.bandwidth, pc.dt, verdict)]
-        lines = [f"lhs={res.lhs:.6g} (se {res.lhs_se:.2e})  "
-                 f"rhs={res.rhs:.6g} (se {res.rhs_se:.2e})  "
-                 f"verdict={'pass' if verdict else 'fail'}"]
-    _atomic_write(os.path.join(cfg.out_dir, "localtime.csv"),
-                  localtime.experiment_csv_text(rows, prov))
-    _write_summary(cfg, "localtime", lines)
-    return EXIT_OK if verdict else EXIT_PROPERTY_FAILURE
+        row = (alpha, t, a, b, res.lhs, res.rhs, res.lhs_se, res.rhs_se,
+               paths, pc.bandwidth, pc.dt, res.verdict)
+        line = (f"lhs={res.lhs:.6g} (se {res.lhs_se:.2e})  "
+                f"rhs={res.rhs:.6g} (se {res.rhs_se:.2e})  ")
+    _write_table(cfg, "localtime.csv", [prov],
+                 "alpha,t,a,b,lhs,rhs,lhs_se,rhs_se,paths,eps,dt,verdict",
+                 [row])
+    _write_summary(cfg, "localtime",
+                   [line + f"verdict={'pass' if res.verdict else 'fail'}"])
+    return EXIT_OK if res.verdict else EXIT_PROPERTY_FAILURE
 
 
 def run_verify(cfg: ExperimentConfig, suites=None) -> int:
@@ -229,18 +233,18 @@ def run_verify(cfg: ExperimentConfig, suites=None) -> int:
     results = verify.run_suites(suite_names, cfg.model, cfg.seed,
                                 paths_scale=sec["paths_scale"],
                                 tol_scale=sec["tolerance_scale"])
-    prov = _provenance(cfg, "verify", f"suites={','.join(suite_names)}")
-    rows = [f"# {prov}", "suite,name,passed,seconds,detail"]
-    lines = []
-    for r in results:
-        rows.append(f"{r.suite},{r.name},{int(r.passed)},{r.seconds:.3f},"
-                    f"\"{r.detail}\"")
-        lines.append(f"[{'PASS' if r.passed else 'FAIL'}] "
-                     f"{r.suite}/{r.name}: {r.detail} ({r.seconds:.1f}s)")
+    # seconds to the millisecond: the one column that does not reproduce
+    _write_table(cfg, "verify.csv",
+                 [_provenance(cfg, "verify",
+                              f"suites={','.join(suite_names)}")],
+                 "suite,name,passed,seconds,detail",
+                 [(r.suite, r.name, int(r.passed), f"{r.seconds:.3f}",
+                   f"\"{r.detail}\"") for r in results])
+    lines = [f"[{'PASS' if r.passed else 'FAIL'}] "
+             f"{r.suite}/{r.name}: {r.detail} ({r.seconds:.1f}s)"
+             for r in results]
     n_fail = sum(not r.passed for r in results)
     lines.append(f"{len(results) - n_fail}/{len(results)} checks passed")
-    _atomic_write(os.path.join(cfg.out_dir, "verify.csv"),
-                  "\n".join(rows) + "\n")
     _write_summary(cfg, "verify", lines)
     return EXIT_OK if n_fail == 0 else EXIT_PROPERTY_FAILURE
 

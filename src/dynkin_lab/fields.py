@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .kernels import kernel_value, spectral_envelope
+from .kernels import spectral_envelope
 from .levy import LevyModel, re_psi
 from .quadrature import NonConvergenceError, integral_to_infinity
 
@@ -221,7 +221,7 @@ def sample_joint(model: LevyModel, alpha: float, t: float,
     n*pi/2 and amplitude factor xi^n; n must be a non-negative integer.
     On a uniform grid that the FFT rule accepts, each field is one FFT.
     """
-    if alpha <= 0 or t <= 0:
+    if not (alpha > 0 and t > 0):
         raise ValueError("need alpha > 0 and t > 0")
     if derivative_order is not None:
         n = _derivative_order(derivative_order)
@@ -259,7 +259,7 @@ def sample_heat_field(model: LevyModel, t: float, grid: SpectralGrid,
                       x: np.ndarray, seed: int,
                       replicate: int = 0) -> FieldSample:
     """One draw of the heat solution snapshot U(t, .) on the grid x."""
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be > 0")
     x = np.asarray(x, dtype=float)
     bias = discretisation_bias("U", model, None, t, grid)
@@ -492,6 +492,17 @@ def scaling_exponent_ensemble(model: LevyModel, kind: str, alpha, t,
     return _fit_loglog(lags, d_mean, d_se, band)
 
 
+def ensemble_covariance(vals: np.ndarray, j: int) -> tuple[float, float]:
+    """Covariance of columns 0 and j of a centred ensemble, with its s.e.
+
+    The mean of the products over the replicates (rows), and the standard
+    error std(products) / sqrt(replicates).
+    """
+    prod = vals[:, 0] * vals[:, j]
+    return (float(np.mean(prod)),
+            float(np.std(prod) / math.sqrt(vals.shape[0])))
+
+
 def structure_function_exact(kind: str, model: LevyModel, alpha, t,
                              grid: SpectralGrid, lags) -> np.ndarray:
     """Mean-square increments implied by the discrete synthesis grid."""
@@ -501,35 +512,3 @@ def structure_function_exact(kind: str, model: LevyModel, alpha, t,
     return np.array([float(np.sum(w * 2.0 * (1.0 - np.cos(grid.frequencies
                                                           * r))))
                      for r in lags])
-
-
-def field_csv_text(sample: FieldSample, provenance: str = "") -> str:
-    """CSV export (x,value) with a reproducibility header comment."""
-    head = (f"# kind={sample.kind} alpha={sample.alpha} t={sample.t} "
-            f"derivative_order={sample.derivative_order} seed={sample.seed} "
-            f"replicate={sample.replicate} cutoff={sample.grid.cutoff!r} "
-            f"modes={sample.grid.n_modes} "
-            f"truncation_tail={sample.bias.truncation_tail!r} "
-            f"riemann_error={sample.bias.riemann_error!r}")
-    if provenance:
-        head = f"# {provenance}\n" + head
-    lines = [head, "x,value"]
-    for xv, fv in zip(sample.x, sample.values):
-        lines.append(f"{float(xv)!r},{float(fv)!r}")
-    return "\n".join(lines) + "\n"
-
-
-def ensemble_stats_csv_text(model: LevyModel, kind: str, alpha, t,
-                            grid: SpectralGrid, lags, emp_cov, emp_se,
-                            provenance: str = "") -> str:
-    """CSV (lag, empirical_cov, exact_cov, stderr) against the line kernel."""
-    kernel_kind = _KERNEL_OF[kind]
-    lines = []
-    if provenance:
-        lines.append(f"# {provenance}")
-    lines.append("lag,empirical_cov,exact_cov,stderr")
-    for r, c, s in zip(lags, emp_cov, emp_se):
-        exact = kernel_value(model, kernel_kind, float(r), alpha=alpha, t=t)
-        lines.append(f"{float(r)!r},{float(c)!r},{float(exact)!r},"
-                     f"{float(s)!r}")
-    return "\n".join(lines) + "\n"

@@ -64,16 +64,10 @@ def delta_difference(a: float, b: float) -> AtomicMeasure:
 
 @dataclass(frozen=True)
 class KernelQuery:
-    """Killing rate, time window, and accuracy budget for moment profiles.
-
-    ``cutoff`` seeds the frequency truncation; it doubles from there until
-    the recorded tail bound drops below ``tolerance`` (or the hard cap
-    trips), so the achieved bound is reported rather than assumed.
-    """
+    """Killing rate, time window, and accuracy budget for moment profiles."""
 
     alpha: float
     t: float
-    cutoff: float | None = None
     tolerance: float = 1e-6
 
     def __post_init__(self):
@@ -81,8 +75,6 @@ class KernelQuery:
             raise ValueError("alpha must be > 0")
         if not self.t > 0:
             raise ValueError("t must be > 0")
-        if self.cutoff is not None and not self.cutoff > 0:
-            raise ValueError("cutoff must be > 0")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be > 0")
 
@@ -113,9 +105,9 @@ def spectral_envelope(kind: str, model: LevyModel, alpha: float | None,
         raise ValueError(f"unknown kernel kind {kind!r}; "
                          f"expected one of {KERNEL_KINDS}")
     killed = kind in ("potential", "varV", "varS")
-    if killed and (alpha is None or alpha <= 0):
+    if killed and (alpha is None or not alpha > 0):
         raise ValueError(f"{kind} kernel needs alpha > 0")
-    if kind != "potential" and (t is None or t <= 0):
+    if kind != "potential" and (t is None or not t > 0):
         raise ValueError(f"{kind} kernel needs t > 0")
     a = alpha if killed else 0.0
 
@@ -186,7 +178,7 @@ def u_alpha(model: LevyModel, alpha: float, r: float,
     NonConvergenceError when the tail fails to decay, which is exactly the
     numerical signature of the existence condition failing.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("alpha must be > 0")
     return kernel_value(model, "potential", r, alpha=alpha, rel_tol=rel_tol)
 
@@ -198,7 +190,7 @@ def pbar_density(model: LevyModel, t: float, r: float,
     Nonnegative up to quadrature tolerance; raw values inside (-tol, 0) are
     clamped to zero with a warning.
     """
-    if t <= 0:
+    if not t > 0:
         raise ValueError("t must be > 0")
     raw = kernel_value(model, "pbar", r, t=t, rel_tol=rel_tol)
     if raw < 0.0:
@@ -241,7 +233,6 @@ def variance_profile(model: LevyModel, query: KernelQuery) -> VarianceProfile:
         env = spectral_envelope(kind, model, kwargs.get("alpha"),
                                 kwargs.get("t"))
         value, err = integral_to_infinity(env, 0.0, rel_tol=rel,
-                                          first_edge=query.cutoff,
                                           context=f"{kind} profile")
         vals[kind] = value / math.pi
         bound = max(bound, err / math.pi)

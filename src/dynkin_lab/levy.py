@@ -23,9 +23,9 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import (_GL_NODES, _GL_WEIGHTS, NonConvergenceError,
-                         _averaged_tail, _geometric_tail, adaptive,
-                         cosine_transform, dyadic_integral_to_zero,
+from .quadrature import (_GL_NODES, _GL_WEIGHTS, OSC_LAG, OSC_WINDOW,
+                         NonConvergenceError, _averaged_tail, _geometric_tail,
+                         adaptive, cosine_transform, dyadic_integral_to_zero,
                          integral_to_infinity)
 
 SATISFIED = "satisfied-numerically"
@@ -317,8 +317,6 @@ def _jump_exponent(nu: LevyMeasure, xi: float, rel_tol: float) -> float:
 _NEAR_SHELLS = 48    # dyadic shells [2^-(m+1), 2^-m] of (0, 1]
 _MASS_OCTAVES = 32   # octaves [pi 2^k, pi 2^(k+1)] of the far mass
 _OSC_PANELS = 48     # half periods [k pi, (k+1) pi], k = 1..48
-_OSC_WINDOW = 12     # partial sums averaged, as in cosine_transform
-_OSC_LAG = 16        # panels between the two averaged values compared
 _CHUNK_DOUBLES = 2**16
 # nodes and weights on [-1, 1] of one panel, then of its two halves
 _SPLIT_NODES = np.concatenate([_GL_NODES, 0.5 * (_GL_NODES - 1.0),
@@ -414,8 +412,7 @@ def _jump_exponents(nu: LevyMeasure, xis: np.ndarray,
     if nu.z_max != math.inf:
         fits = nu.z_max * xis <= hi[-1]
     else:
-        fits = nu.z_min * xis <= math.pi * (_OSC_PANELS - _OSC_WINDOW
-                                            - _OSC_LAG)
+        fits = nu.z_min * xis <= math.pi * (_OSC_PANELS - OSC_WINDOW - OSC_LAG)
     if nu.z_min > 0.0:
         fits &= nu.z_min * xis >= lo[_NEAR_SHELLS - 1]
     out = np.full(xis.size, np.nan)
@@ -471,12 +468,12 @@ def _exponent_rows(nu, xi, rel_tol, lo, hi, kind, shared):
     if nu.z_max == math.inf:
         mass_tail, mass_unc, far_ok = _shrinking_tail(mass)
         # the window as a list of columns: one averaging for every row
-        osc, acc_err = _averaged_tail(list(partials[:, -_OSC_WINDOW:].T))
+        osc, acc_err = _averaged_tail(list(partials[:, -OSC_WINDOW:].T))
         osc_mid, _ = _averaged_tail(
-            list(partials[:, -_OSC_WINDOW - _OSC_LAG:-_OSC_LAG].T))
+            list(partials[:, -OSC_WINDOW - OSC_LAG:-OSC_LAG].T))
         # as in cosine_transform: the lag drift extrapolates the bias
         osc_bound = 4.0 * acc_err + np.abs(osc - osc_mid) \
-            * ((_OSC_PANELS + 1) / _OSC_LAG)
+            * ((_OSC_PANELS + 1) / OSC_LAG)
     half_value = near.sum(axis=1) + near_tail + bridge + mass.sum(axis=1) \
         + mass_tail - osc
     with np.errstate(invalid="ignore"):
@@ -528,7 +525,7 @@ def feller_functions(model: LevyModel, eps: float,
     Defined for khintchine models and for stable models via their canonical
     measure; purely closed-form Gaussian kinds have no jump measure.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be > 0")
     nu = model.canonical_measure()
     k_val = _integral(lambda z: z * z * nu.density(z), nu.z_min,
@@ -541,7 +538,7 @@ def feller_functions(model: LevyModel, eps: float,
 def averaged_exponent(model: LevyModel, xi: float,
                       rel_tol: float = 1e-9) -> float:
     """Harmonic-analysis average (1/xi) int_0^xi RePsi(z) dz, by quadrature."""
-    if xi <= 0:
+    if not xi > 0:
         raise ValueError("xi must be > 0")
     return adaptive(lambda z: re_psi(model, z, rel_tol=rel_tol), 0.0, xi,
                     rel_tol=rel_tol) / xi
@@ -572,7 +569,7 @@ def _monotone_increasing(vals: np.ndarray) -> bool:
 def condition_report(model: LevyModel, alpha: float,
                      xi_grid: np.ndarray | None = None,
                      eps_grid: np.ndarray | None = None) -> ConditionReport:
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("alpha must be > 0")
     if xi_grid is None:
         xi_grid = np.geomspace(2.0, 2.0**24, 70)

@@ -88,7 +88,7 @@ def stable_increment(beta: float, c: float, dt: float,
     """
     if not 0.0 < beta <= 2.0:
         raise ValueError("beta must lie in (0,2]")
-    if c <= 0 or dt <= 0:
+    if not (c > 0 and dt > 0):
         raise ValueError("c and dt must be > 0")
     n = 1 if size is None else int(size)
     sigma = (2.0 * c * dt) ** (1.0 / beta)
@@ -119,7 +119,7 @@ def simulate_path(cfg: PathConfig, n_steps: int,
 
 def _check_bandwidth(eps: float, med: float):
     """Reject eps out of proportion with the step length med."""
-    if eps <= 0:
+    if not eps > 0:
         raise BandwidthError("eps must be > 0")
     if med == 0.0:
         return  # degenerate (injected) path: any eps resolves it
@@ -204,11 +204,17 @@ class ResolventResult:
     dt: float
     mean_at_exponential_time: float
 
+    @property
+    def verdict(self) -> bool:
+        """|estimate - exact| <= 3 se + 5 % of exact."""
+        return abs(self.estimate - self.exact) <= 3.0 * self.stderr \
+            + 0.05 * self.exact
+
 
 def resolvent_check(cfg: PathConfig, alpha: float, x: float, y: float,
                     paths: int, seed: int | None = None) -> ResolventResult:
     """Monte Carlo check of the local-time normalisation against u_alpha."""
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("alpha must be > 0")
     eps = cfg.bandwidth
     factor = cfg.dt / (2.0 * eps)
@@ -260,7 +266,7 @@ def corollary_test(cfg: PathConfig, alpha: float, a: float, b: float,
     and their mean weighted by P(S >= t) = e^{-alpha t} is
     u_alpha(0) - u_alpha(a - b) for cfg.line_model().
     """
-    if alpha <= 0 or t <= 0:
+    if not (alpha > 0 and t > 0):
         raise ValueError("alpha and t must be > 0")
     eps = cfg.bandwidth
     factor = cfg.dt / (2.0 * eps)
@@ -317,7 +323,7 @@ def discounted_split_check(cfg: PathConfig, alpha: float, a: float, b: float,
                            t: float, paths: int,
                            seed: int | None = None) -> DiscountedSplitResult:
     """Monte Carlo check of the pre/post-t discounted local-time estimate."""
-    if alpha <= 0 or t <= 0:
+    if not (alpha > 0 and t > 0):
         raise ValueError("alpha and t must be > 0")
     eps = cfg.bandwidth
     factor = cfg.dt / (2.0 * eps)
@@ -351,7 +357,7 @@ def mean_local_times(cfg: PathConfig, levels, times, paths: int,
     times = sorted(times)
     if not times:
         raise ValueError("need at least one horizon")
-    if times[0] <= 0:
+    if not all(t > 0 for t in times):
         raise ValueError("horizons must be > 0")
     eps = cfg.bandwidth
     steps = [int(round(t / cfg.dt)) for t in times]
@@ -372,15 +378,3 @@ def mean_local_times(cfg: PathConfig, levels, times, paths: int,
     means = acc / paths
     var = np.maximum(acc_sq / paths - means * means, 0.0)
     return means, np.sqrt(var / paths)
-
-
-def experiment_csv_text(rows, provenance: str = "") -> str:
-    """CSV (alpha,t,a,b,lhs,rhs,lhs_se,rhs_se,paths,eps,dt,verdict)."""
-    lines = []
-    if provenance:
-        lines.append(f"# {provenance}")
-    lines.append("alpha,t,a,b,lhs,rhs,lhs_se,rhs_se,paths,eps,dt,verdict")
-    for r in rows:
-        lines.append(",".join(repr(float(v)) if isinstance(v, float)
-                              else str(v) for v in r))
-    return "\n".join(lines) + "\n"

@@ -40,6 +40,10 @@ DYADIC_SHELLS = 200  # shells toward 0 walked before giving up
 ADAPTIVE_DEPTH = 30
 ADAPTIVE_PANELS = 50_000
 COSINE_PANELS = 400_000
+# the repeated-averaging rule: partial sums averaged, and the lag in panels
+# between the two averaged values whose drift bounds its bias
+OSC_WINDOW = 12
+OSC_LAG = 16
 
 
 class NonConvergenceError(ArithmeticError):
@@ -237,13 +241,11 @@ def cosine_transform(env: Callable, r: float, rel_tol: float = 1e-9,
     head_panels = 8
     total = adaptive(lambda x: np.cos(x * r) * env(x), 0.0, head_panels * h,
                      rel_tol=min(rel_tol, 1e-10))
-    window = 12   # partial sums kept for the averaging acceleration
     min_tail = 32  # panels beyond the head before acceleration may stop
     partials: list[float] = []
     scale = max(abs_tol, abs(total))
     k = head_panels
-    block = 32
-    half_block = block // 2
+    block = 2 * OSC_LAG
     mids_unit = 0.5 * (_GL_NODES + 1.0)
     while k < COSINE_PANELS:
         lows = h * (k + np.arange(block))
@@ -254,15 +256,15 @@ def cosine_transform(env: Callable, r: float, rel_tol: float = 1e-9,
         for j, term in enumerate(terms):
             total += float(term)
             partials.append(total)
-            if len(partials) > window:
+            if len(partials) > OSC_WINDOW:
                 partials.pop(0)
-            if j == half_block - 1 and len(partials) == window:
+            if j == OSC_LAG - 1 and len(partials) == OSC_WINDOW:
                 value_mid, _ = _averaged_tail(partials)
         k += block
         scale = max(scale, abs(total))
         last = abs(float(terms[-1]))
         tol = max(rel_tol * scale, abs_tol)
-        if len(partials) == window and k - head_panels >= min_tail:
+        if len(partials) == OSC_WINDOW and k - head_panels >= min_tail:
             if last <= tol:
                 # plain alternating-series remainder bound
                 return total, last
@@ -270,7 +272,7 @@ def cosine_transform(env: Callable, r: float, rel_tol: float = 1e-9,
             if value_mid is not None:
                 # the half-block drift of the accelerated value extrapolates
                 # the residual bias of the sliding-window average
-                drift = abs(value - value_mid) * (k / half_block)
+                drift = abs(value - value_mid) * (k / OSC_LAG)
                 bound = 4.0 * acc_err + drift
                 if bound <= tol:
                     return value, bound

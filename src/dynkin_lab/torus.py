@@ -215,16 +215,6 @@ class MomentReport:
     stationarity_bound: float | None    # e^{-alpha t} * stationary variance
     image_correction: float | None
 
-    def csv_text(self, provenance: str = "") -> str:
-        lines = []
-        if provenance:
-            lines.append(f"# {provenance}")
-        lines.append("t,x,mean,var,exact_var,stderr,paths")
-        for r in self.rows:
-            lines.append(f"{r.t!r},{r.x!r},{r.mean!r},{r.var!r},"
-                         f"{r.exact_var!r},{r.stderr!r},{r.paths}")
-        return "\n".join(lines) + "\n"
-
 
 def run_moments(cfg: TorusConfig, model: LevyModel, t_end: float,
                 paths: int, probes, seed: int = 0) -> MomentReport:
@@ -234,7 +224,7 @@ def run_moments(cfg: TorusConfig, model: LevyModel, t_end: float,
     diagnostic compares the observed point variance at the two probe times
     against the relaxation bound exp(-alpha t) * stationary variance.
     """
-    if t_end <= 0:
+    if not t_end > 0:
         raise ValueError("t_end must be > 0")
     if paths < 2:
         raise ValueError("need at least 2 paths")

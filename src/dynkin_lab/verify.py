@@ -295,9 +295,7 @@ def check_eta_covariance(model, seed, scale, tol_scale):
     bias = fields.discretisation_bias("eta", model, alpha, 1.0, grid).total
     worst = math.inf
     for j, r in enumerate(pts):
-        prod = vals[:, 0] * vals[:, j]
-        emp = float(np.mean(prod))
-        se = float(np.std(prod) / math.sqrt(reps))
+        emp, se = fields.ensemble_covariance(vals, j)
         exact = u_alpha(model, alpha, float(r))
         worst = min(worst, 3.0 * se + bias - abs(emp - exact))
     return CheckResult("synthesis", "stationary-covariance", worst >= 0,

@@ -1,11 +1,16 @@
+import hashlib
 import json
 import math
 import os
+import re
 
+import numpy as np
 import pytest
 
 from dynkin_lab.cli import main
 from dynkin_lab.config import ConfigError, parse_config
+from dynkin_lab.fields import SpectralGrid, sample_joint
+from dynkin_lab.levy import LevyModel
 
 MINIMAL = {"model": {"kind": "stable", "beta": 1.5, "c": 1.0}}
 
@@ -126,6 +131,17 @@ def test_cli_synth_deterministic_outputs(tmp_path, capsys):
                  "ensemble_stats.csv"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
+    # the table reads back bit for bit: floats are written by repr
+    lines = (tmp_path / "a" / "field_eta.csv").read_text().splitlines()
+    assert lines[1].startswith("# kind=eta alpha=2.0 t=1.0 ")
+    assert " seed=5 " in lines[1]
+    assert lines[2] == "x,value"
+    x_step = 2.0 * math.pi / 128.0 * 0.25
+    _, _, eta, _ = sample_joint(LevyModel.brownian(1.0), 2.0, 1.0,
+                                SpectralGrid(128.0, 512),
+                                np.arange(32) * x_step, 5)
+    assert [tuple(map(float, ln.split(","))) for ln in lines[3:]] == \
+        list(zip(eta.x, eta.values))
 
 
 def test_cli_seed_flag_wins(tmp_path, capsys):
@@ -148,8 +164,9 @@ def test_cli_spde_smoke(tmp_path, capsys):
                         "dt": 0.1, "t_end": 1.0, "paths": 200,
                         "probes": [0.0, 8.0]}}
     assert main(["spde", "--config", write_cfg(tmp_path, payload)]) == 0
-    text = (tmp_path / "out" / "moments.csv").read_text()
-    assert "t,x,mean,var,exact_var,stderr,paths" in text
+    lines = (tmp_path / "out" / "moments.csv").read_text().splitlines()
+    assert lines[0].startswith("# dynkin-lab ")
+    assert lines[1] == "t,x,mean,var,exact_var,stderr,paths"
 
 
 def test_cli_localtime_resolvent_smoke(tmp_path, capsys):
@@ -189,6 +206,118 @@ def test_cli_verify_suite_kernels(tmp_path, capsys):
     assert "kernels/green-bound" in out
     assert "FAIL" not in out
     assert (tmp_path / "out" / "verify.csv").exists()
+
+
+_BROWNIAN = {"kind": "brownian", "kappa": 1.0}
+_STABLE = {"kind": "stable", "beta": 1.5, "c": 1.0}
+# small runs of every subcommand; integer-valued entries pin, column by
+# column, whether a config's 2 is written as 2 or as 2.0
+_OUTPUT_CASES = {
+    "check": ("check", _STABLE, {"check": {
+        "alpha": 1, "xi_max": 1e3, "eps_min": 1e-3,
+        "points_per_decade": 4}}),
+    "kernel": ("kernel", _BROWNIAN, {"kernel": {
+        "alphas": [2, 0.5], "ts": [1], "rs": [0, 1.5]}}),
+    "synth": ("synth", _BROWNIAN, {"synth": {
+        "alpha": 2, "t": 1, "grid": {"cutoff": 64, "modes": 256},
+        "x_points": 8, "replications": 20, "lags": [0, 1, 0.5]}}),
+    "synth-derivative": ("synth", _STABLE, {"synth": {
+        "alpha": 2.0, "t": 1.0, "grid": {"cutoff": 64.0, "modes": 256},
+        "x_points": 8, "replications": 20, "derivative_order": 2}}),
+    "spde": ("spde", _BROWNIAN, {"spde": {
+        "circumference": 16, "modes": 17, "alpha": 2, "dt": 0.1,
+        "t_end": 1, "paths": 20, "probes": [0, 1.5, 4]}}),
+    "spde-heat": ("spde", _STABLE, {"spde": {
+        "circumference": 16.0, "modes": 17, "alpha": 0, "dt": 0.1,
+        "t_end": 1.0, "paths": 20, "probes": [0.0, 3]}}),
+    "resolvent": ("localtime", _BROWNIAN, {"localtime": {
+        "experiment": "resolvent", "beta": 2, "c": 1, "alpha": 2, "a": 0,
+        "b": 0, "dt": 0.01, "eps": 0.1, "paths": 50}}),
+    "corollary": ("localtime", _STABLE, {"localtime": {
+        "experiment": "corollary", "beta": 1.5, "c": 1.0, "alpha": 1,
+        "a": 0, "b": 1, "dt": 0.02, "paths": 1200}}),
+    "verify": ("verify", _BROWNIAN, {"verify": {"suites": ["levy"]}}),
+}
+# SHA-256 of every file written, timings masked: a change to any output's
+# bytes has to update these on purpose
+_OUTPUT_DIGESTS = {
+    ("check", "check.csv"):
+        "1115b87d649b5e8a0dc90e2b3c22c76528a14d469cb8f072f239758ce3416a5c",
+    ("check", "check_summary.txt"):
+        "e1a0ac355c9039f9bfcb70d08755b4fa0d9178d9d2f0a8062815c1c67d0f80a0",
+    ("kernel", "kernel_summary.txt"):
+        "4ecbc8b4861fc47779640db911581c8f724d6413caf27c2d91f4408924ebb765",
+    ("kernel", "kernels.csv"):
+        "3c2cd45f160e67fd049ac84ba46ab00896f29e0d19716bd3fc71d728339b5788",
+    ("kernel", "variances.csv"):
+        "c68fe3238353a936ab36089c1258717cd25f67da1de0e1860a119f2118f64f2f",
+    ("synth", "ensemble_stats.csv"):
+        "64bdd35a0dcae913923bec532dbed30c528b048089f46900fb9f68698f775445",
+    ("synth", "field_S.csv"):
+        "a03d7c622e29cb098f8ba89744c787d3d28a05bc84eb368663815f2a94a06750",
+    ("synth", "field_V.csv"):
+        "dd1f218ca6cca36890c7500cc54cd242b1757c3b50ff6036d68c5f4bf2889197",
+    ("synth", "field_eta.csv"):
+        "ea2f5adf46c42d1b1ad7d1279c8eb12ccfa6c2bf6ebb1d59150a789a6678df97",
+    ("synth", "synth_summary.txt"):
+        "9ed25f93bf6b7304ce91e10443898e6b302832fd812a093e2514d1d37a8b62e3",
+    ("synth-derivative", "ensemble_stats.csv"):
+        "baad6baf7ad6104bafab69c6936e6e90cbe8d0d92a1e9a75b7381ee0baeede43",
+    ("synth-derivative", "field_S.csv"):
+        "af340ba93ab836ebb3b2528acfeb0d54882f9141594a84e77e1abc83f3165278",
+    ("synth-derivative", "field_S_derivative.csv"):
+        "a4fd802d0922b1872c8f67de2195fbb09c5206eecd80c421b46222eacde12686",
+    ("synth-derivative", "field_V.csv"):
+        "1b41a2787b877c6828542735cf5a0d16266a636a8ab866c9999eff71dab404cc",
+    ("synth-derivative", "field_eta.csv"):
+        "5b662ddf4297c69588bfa9dd32659800085c398d30efdfa3da645b4bc882e3df",
+    ("synth-derivative", "synth_summary.txt"):
+        "e470689a85777cc8728aabffae295e129c25dc25159fe8c66a842c094806b1d7",
+    ("spde", "covariances.csv"):
+        "40ca4cdd8b911dc345736ad289b5d637835cc03e232ff5558931fd6d196809cb",
+    ("spde", "moments.csv"):
+        "7b449734d7c79b18585234f596bc3be6739ede2f9f76446e49b07da408942035",
+    ("spde", "spde_summary.txt"):
+        "7aeaaefcac6bb7981588f38038aada9f35886befaa7ac79db8e065a151cf4057",
+    ("spde-heat", "covariances.csv"):
+        "92cd76c60ad4aad649e1bc0b6e321feba9c60f689d59e3cb0b5f1137a7bd0b7d",
+    ("spde-heat", "moments.csv"):
+        "ec64eb23efb8ec11a915beeb4e11fe379e26653abfbc9199bbf493cd9c56ca2c",
+    ("spde-heat", "spde_summary.txt"):
+        "e64099c61becf19abb9ceb35f91148ddb128800ea13d5c422bf2db4368f08add",
+    ("resolvent", "localtime.csv"):
+        "27c5da34c8dc802ff6c4b86d6c89feda16d0436f2df3eedab1f56a552a857cda",
+    ("resolvent", "localtime_summary.txt"):
+        "cf8ce0a66ab4500a75382e9e8cfb78964e7554b9cb0d34cecb3a3b587a629e2c",
+    ("corollary", "localtime.csv"):
+        "ca7313f902f8b5450ec97f930d6cf87e65207b8bc9f368a69261ba75cddec8b7",
+    ("corollary", "localtime_summary.txt"):
+        "6d5427b3365cf91f8683ed00f34953b9cd3542d2517b573199eb5aa47bc7554b",
+    ("verify", "verify.csv"):
+        "52889f9528c299ff83cf0c08453c9c0d9b9289d358b676d68c0839764be531e0",
+    ("verify", "verify_summary.txt"):
+        "c1e624d78ce4ad91f2550230c84f4246bbd4fc135d9905a302ce40530a51e4ec",
+}
+
+
+def _mask_timings(name, data):
+    if name == "verify.csv":
+        return re.sub(rb"(?m)^([^,]*,[^,]*,[^,]*),[0-9.]+,", rb"\1,-,", data)
+    if name == "verify_summary.txt":
+        return re.sub(rb"\([0-9.]+s\)", b"(-s)", data)
+    return data
+
+
+def test_outputs_byte_identical(tmp_path, capsys):
+    digests = {}
+    for case, (command, model, sections) in _OUTPUT_CASES.items():
+        out = tmp_path / case
+        payload = dict(sections, model=model, seed=7, out_dir=str(out))
+        assert main([command, "--config", write_cfg(tmp_path, payload)]) == 0
+        for path in sorted(out.iterdir()):
+            data = _mask_timings(path.name, path.read_bytes())
+            digests[case, path.name] = hashlib.sha256(data).hexdigest()
+    assert digests == _OUTPUT_DIGESTS
 
 
 def test_cli_verify_failure_exit_1(tmp_path, capsys):

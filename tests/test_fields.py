@@ -362,15 +362,3 @@ def test_scaling_ensemble_route_consistency():
     fit = scaling_exponent_ensemble(BROWNIAN, "eta", 0.005, None, grid,
                                     lags, seed=12, replicates=256)
     assert fit.slope == pytest.approx(1.0, abs=0.08)
-
-
-def test_field_csv_export_roundtrip():
-    grid = SpectralGrid(64.0, 128)
-    x = np.array([0.0, 0.25])
-    _, _, eta, _ = sample_joint(BROWNIAN, 1.0, 1.0, grid, x, seed=2)
-    text1 = fields.field_csv_text(eta, provenance="test run")
-    text2 = fields.field_csv_text(eta, provenance="test run")
-    assert text1 == text2
-    assert "kind=eta" in text1 and "seed=2" in text1
-    lines = text1.strip().split("\n")
-    assert lines[-1].split(",")[0] == repr(0.25)

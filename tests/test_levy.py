@@ -4,14 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from dynkin_lab.fields import SpectralGrid
-from dynkin_lab.kernels import KernelQuery
+from dynkin_lab.fields import SpectralGrid, sample_heat_field, sample_joint
+from dynkin_lab.kernels import (KernelQuery, pbar_density, spectral_envelope,
+                                u_alpha)
 from dynkin_lab.levy import (INCONCLUSIVE, SATISFIED, VIOLATED, LevyMeasure,
                              LevyModel, _jump_exponent, averaged_exponent,
                              condition_report, feller_functions, re_psi,
                              stable_jump_coefficient)
-from dynkin_lab.localtime import PathConfig
-from dynkin_lab.torus import TorusConfig
+from dynkin_lab.localtime import (PathConfig, corollary_test,
+                                  discounted_split_check, local_time,
+                                  mean_local_times, resolvent_check,
+                                  stable_increment)
+from dynkin_lab.torus import TorusConfig, run_moments
 from dynkin_lab.verify import check_evenness, check_stable_consistency
 
 _TABLE_Z = np.geomspace(0.01, 10.0, 40)
@@ -29,6 +33,9 @@ _MEASURES = [
 
 
 _NAN = math.nan
+_BROWNIAN = LevyModel.brownian(1.0)
+_GRID = SpectralGrid(64.0, 128)
+_PATH = PathConfig(2.0, 1.0, 1e-3)
 
 
 @pytest.mark.parametrize("build, message", [
@@ -45,12 +52,53 @@ _NAN = math.nan
     (lambda: SpectralGrid(_NAN, 16), "cutoff must be > 0"),
     (lambda: KernelQuery(_NAN, 1.0), "alpha must be > 0"),
     (lambda: KernelQuery(1.0, _NAN), "t must be > 0"),
-    (lambda: KernelQuery(1.0, 1.0, cutoff=_NAN), "cutoff must be > 0"),
     (lambda: KernelQuery(1.0, 1.0, tolerance=_NAN), "tolerance must be > 0"),
+    (lambda: spectral_envelope("potential", _BROWNIAN, _NAN, None),
+     "needs alpha > 0"),
+    (lambda: spectral_envelope("pbar", _BROWNIAN, None, _NAN),
+     "needs t > 0"),
+    (lambda: u_alpha(_BROWNIAN, _NAN, 0.0), "alpha must be > 0"),
+    (lambda: pbar_density(_BROWNIAN, _NAN, 0.0), "t must be > 0"),
+    (lambda: sample_joint(_BROWNIAN, _NAN, 1.0, _GRID, [0.0], 1),
+     "need alpha > 0 and t > 0"),
+    (lambda: sample_joint(_BROWNIAN, 1.0, _NAN, _GRID, [0.0], 1),
+     "need alpha > 0 and t > 0"),
+    (lambda: sample_heat_field(_BROWNIAN, _NAN, _GRID, [0.0], 1),
+     "t must be > 0"),
+    (lambda: stable_increment(1.5, _NAN, 1e-3, np.random.default_rng(1), 3),
+     "c and dt must be > 0"),
+    (lambda: stable_increment(1.5, 1.0, _NAN, np.random.default_rng(1), 3),
+     "c and dt must be > 0"),
+    (lambda: local_time(np.zeros(4), 1e-3, 0.0, _NAN), "eps must be > 0"),
+    (lambda: resolvent_check(_PATH, _NAN, 0.0, 0.0, 10),
+     "alpha must be > 0"),
+    (lambda: corollary_test(_PATH, _NAN, 0.0, 1.0, 0.5, 10),
+     "alpha and t must be > 0"),
+    (lambda: corollary_test(_PATH, 1.0, 0.0, 1.0, _NAN, 10),
+     "alpha and t must be > 0"),
+    (lambda: discounted_split_check(_PATH, _NAN, 0.0, 1.0, 0.5, 10),
+     "alpha and t must be > 0"),
+    (lambda: discounted_split_check(_PATH, 1.0, 0.0, 1.0, _NAN, 10),
+     "alpha and t must be > 0"),
+    (lambda: mean_local_times(_PATH, [0.0], [_NAN], 10),
+     "horizons must be > 0"),
+    (lambda: mean_local_times(_PATH, [0.0], [0.1, _NAN], 10),
+     "horizons must be > 0"),
+    (lambda: run_moments(TorusConfig(16.0, 33, 1.0, 0.1), _BROWNIAN, _NAN,
+                         10, [0.0]), "t_end must be > 0"),
+    (lambda: condition_report(_BROWNIAN, _NAN), "alpha must be > 0"),
+    (lambda: feller_functions(LevyModel.stable(1.5, 1.0), _NAN),
+     "eps must be > 0"),
+    (lambda: averaged_exponent(_BROWNIAN, _NAN), "xi must be > 0"),
 ], ids=["brownian-kappa", "stable-c", "khintchine-sigma2", "path-c",
         "path-dt", "path-eps", "torus-circumference", "torus-alpha",
-        "torus-dt", "grid-cutoff", "query-alpha", "query-t", "query-cutoff",
-        "query-tolerance"])
+        "torus-dt", "grid-cutoff", "query-alpha", "query-t",
+        "query-tolerance", "envelope-alpha", "envelope-t", "u-alpha",
+        "pbar-t", "joint-alpha", "joint-t", "heat-t", "increment-c",
+        "increment-dt", "local-time-eps", "resolvent-alpha",
+        "corollary-alpha", "corollary-t", "split-alpha", "split-t",
+        "horizon", "later-horizon", "torus-t-end", "condition-alpha",
+        "feller-eps", "averaged-xi"])
 def test_guards_reject_nan(build, message):
     # a guard written x <= 0 is false for NaN and let it through
     with pytest.raises(ValueError, match=message):

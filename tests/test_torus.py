@@ -166,8 +166,6 @@ def test_run_moments_report():
         assert abs(row.mean) <= 4 * math.sqrt(row.exact_var / 500)
         assert abs(row.var - row.exact_var) <= 4 * row.exact_var \
             * math.sqrt(2.0 / 500)
-    text = report.csv_text("prov")
-    assert text.startswith("# prov\nt,x,mean,var,exact_var,stderr,paths\n")
 
 
 def test_step_stream_contract():
