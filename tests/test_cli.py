@@ -4,13 +4,10 @@ import math
 import os
 import re
 
-import numpy as np
 import pytest
 
 from dynkin_lab.cli import main
 from dynkin_lab.config import ConfigError, parse_config
-from dynkin_lab.fields import SpectralGrid, sample_joint
-from dynkin_lab.levy import LevyModel
 
 MINIMAL = {"model": {"kind": "stable", "beta": 1.5, "c": 1.0}}
 
@@ -131,17 +128,6 @@ def test_cli_synth_deterministic_outputs(tmp_path, capsys):
                  "ensemble_stats.csv"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
-    # the table reads back bit for bit: floats are written by repr
-    lines = (tmp_path / "a" / "field_eta.csv").read_text().splitlines()
-    assert lines[1].startswith("# kind=eta alpha=2.0 t=1.0 ")
-    assert " seed=5 " in lines[1]
-    assert lines[2] == "x,value"
-    x_step = 2.0 * math.pi / 128.0 * 0.25
-    _, _, eta, _ = sample_joint(LevyModel.brownian(1.0), 2.0, 1.0,
-                                SpectralGrid(128.0, 512),
-                                np.arange(32) * x_step, 5)
-    assert [tuple(map(float, ln.split(","))) for ln in lines[3:]] == \
-        list(zip(eta.x, eta.values))
 
 
 def test_cli_seed_flag_wins(tmp_path, capsys):
