@@ -41,8 +41,9 @@ from .kernels import spectral_envelope
 from .levy import LevyModel, re_psi
 from .quadrature import NonConvergenceError, integral_to_infinity
 
-# amplitude stream components per field part
-_COMPONENTS = {"V": (0, 1), "S": (2, 3), "U": (4, 5), "eta_direct": (6, 7)}
+# the part table: amplitude stream components per field density kind; an
+# eta drawn whole (ensemble_values with t=None) reads its own pair
+_COMPONENTS = {"V": (0, 1), "S": (2, 3), "U": (4, 5), "eta": (6, 7)}
 # the line kernel whose spectral envelope each field's density is
 _KERNEL_OF = {"eta": "potential", "V": "varV", "S": "varS", "U": "varU"}
 
@@ -148,10 +149,11 @@ def discretisation_bias(kind: str, model: LevyModel, alpha: float | None,
                       riemann_error=abs(float(fine - coarse)))
 
 
-def _amplitudes(kind, model, alpha, t, grid, derivative_order=0):
-    f = spectral_density(kind, model, alpha, t, grid.frequencies,
-                         derivative_order=derivative_order)
-    return np.sqrt(2.0 * f * grid.delta_xi)
+def _amplitudes(kind, model, alpha, t, grid, order=0):
+    """Mode amplitudes sqrt(2 f(xi) dxi) xi^n of the n-th derivative."""
+    amp = np.sqrt(2.0 * spectral_density(kind, model, alpha, t,
+                                         grid.frequencies) * grid.delta_xi)
+    return amp * grid.frequencies ** order if order else amp
 
 
 def _mode_normals(seed, replicate, component, n_modes, out=None):
@@ -211,13 +213,28 @@ def _synthesise_dense(amp, freqs, x, a, b, phase=0.0):
     return (np.cos(arg) @ (amp * a)) + (np.sin(arg) @ (amp * b))
 
 
+def _sample(kind, model, alpha, t, grid, x, seed, replicate, order=0,
+            draws=None, label=None) -> FieldSample:
+    """One part of a draw: its amplitudes, its two streams (or the given
+    draws of them), phase n*pi/2 and its bias, named kind or label."""
+    if draws is None:
+        draws = [_mode_normals(seed, replicate, comp, grid.n_modes)
+                 for comp in _COMPONENTS[kind]]
+    vals = _synthesise(_amplitudes(kind, model, alpha, t, grid, order), grid,
+                       x, *draws, phase=order * math.pi / 2.0)
+    bias = discretisation_bias(kind, model, alpha, t, grid,
+                               derivative_order=order)
+    return FieldSample(label or kind, alpha, t, order, x, vals, seed,
+                       replicate, grid, bias)
+
+
 def sample_joint(model: LevyModel, alpha: float, t: float,
                  grid: SpectralGrid, x: np.ndarray, seed: int,
                  replicate: int = 0, derivative_order: int | None = None):
     """One joint draw of (V, S, eta[, S derivative]) on the spatial grid x.
 
     V and S use independent amplitude streams; eta is the exact pointwise
-    sum.  The optional derivative field reuses the S amplitudes with phase
+    sum.  The optional derivative field reuses the S draws with phase
     n*pi/2 and amplitude factor xi^n; n must be a non-negative integer.
     On a uniform grid that the FFT rule accepts, each field is one FFT.
     """
@@ -226,33 +243,19 @@ def sample_joint(model: LevyModel, alpha: float, t: float,
     if derivative_order is not None:
         n = _derivative_order(derivative_order)
     x = np.asarray(x, dtype=float)
-    freqs = grid.frequencies
-    draws = {name: _mode_normals(seed, replicate, comp, grid.n_modes)
-             for part, comps in (("V", _COMPONENTS["V"]),
-                                 ("S", _COMPONENTS["S"]))
-             for name, comp in zip((part + "_a", part + "_b"), comps)}
-    out = {}
-    for part in ("V", "S"):
-        amp = _amplitudes(part, model, alpha, t, grid)
-        vals = _synthesise(amp, grid, x, draws[part + "_a"],
-                           draws[part + "_b"])
-        bias = discretisation_bias(part, model, alpha, t, grid)
-        out[part] = FieldSample(part, alpha, t, 0, x, vals, seed, replicate,
-                                grid, bias)
-    eta_vals = out["V"].values + out["S"].values
-    eta_bias = discretisation_bias("eta", model, alpha, t, grid)
-    eta = FieldSample("eta", alpha, t, 0, x, eta_vals, seed, replicate, grid,
-                      eta_bias)
+    s_draws = [_mode_normals(seed, replicate, comp, grid.n_modes)
+               for comp in _COMPONENTS["S"]]
+    v = _sample("V", model, alpha, t, grid, x, seed, replicate)
+    s = _sample("S", model, alpha, t, grid, x, seed, replicate,
+                draws=s_draws)
+    eta = FieldSample("eta", alpha, t, 0, x, v.values + s.values, seed,
+                      replicate, grid,
+                      discretisation_bias("eta", model, alpha, t, grid))
     if derivative_order is None:
-        return out["V"], out["S"], eta, None
-    amp = _amplitudes("S", model, alpha, t, grid) * freqs ** n
-    vals = _synthesise(amp, grid, x, draws["S_a"], draws["S_b"],
-                       phase=n * math.pi / 2.0)
-    bias = discretisation_bias("S", model, alpha, t, grid,
-                               derivative_order=n)
-    deriv = FieldSample("S_derivative", alpha, t, n, x, vals, seed,
-                        replicate, grid, bias)
-    return out["V"], out["S"], eta, deriv
+        return v, s, eta, None
+    deriv = _sample("S", model, alpha, t, grid, x, seed, replicate, order=n,
+                    draws=s_draws, label="S_derivative")
+    return v, s, eta, deriv
 
 
 def sample_heat_field(model: LevyModel, t: float, grid: SpectralGrid,
@@ -261,13 +264,8 @@ def sample_heat_field(model: LevyModel, t: float, grid: SpectralGrid,
     """One draw of the heat solution snapshot U(t, .) on the grid x."""
     if not t > 0:
         raise ValueError("t must be > 0")
-    x = np.asarray(x, dtype=float)
-    bias = discretisation_bias("U", model, None, t, grid)
-    amp = _amplitudes("U", model, None, t, grid)
-    a = _mode_normals(seed, replicate, _COMPONENTS["U"][0], grid.n_modes)
-    b = _mode_normals(seed, replicate, _COMPONENTS["U"][1], grid.n_modes)
-    vals = _synthesise(amp, grid, x, a, b)
-    return FieldSample("U", None, t, 0, x, vals, seed, replicate, grid, bias)
+    return _sample("U", model, None, t, grid, np.asarray(x, dtype=float),
+                   seed, replicate)
 
 
 def ensemble_values(model: LevyModel, kind: str, alpha: float | None,
@@ -290,31 +288,22 @@ def ensemble_values(model: LevyModel, kind: str, alpha: float | None,
     and batching only regroups the matrix products.
     """
     n = _derivative_order(derivative_order)
-    points = np.asarray(points, dtype=float)
-    freqs = grid.frequencies
-    if kind == "eta":
-        # eta has the same law for every t; with no t given, draw it from
-        # its own spectral density instead of as V + S
-        parts = [("eta_direct", 0)] if t is None else [("V", 0), ("S", 0)]
-    elif kind in ("V", "U"):
-        parts = [(kind, 0)]
-    elif kind in ("S", "S_derivative"):
-        parts = [("S", n)]
-    else:
+    if kind not in ("eta", "V", "S", "U", "S_derivative"):
         raise ValueError(f"unknown ensemble kind {kind!r}")
     if n and kind not in ("S", "S_derivative"):
         raise ValueError(f"derivative_order applies to kinds S and "
                          f"S_derivative, not {kind!r}")
+    points = np.asarray(points, dtype=float)
+    # eta has the same law for every t; with no t given, draw it from its
+    # own spectral density instead of as V + S
+    parts = ("V", "S") if kind == "eta" and t is not None \
+        else (kind.removesuffix("_derivative"),)
     mats = []
-    for part, order in parts:
-        dens_kind = "eta" if part == "eta_direct" else part
-        amp = _amplitudes(dens_kind, model, alpha, t, grid,
-                          derivative_order=0)
-        phase = order * math.pi / 2.0
-        amp = amp * freqs ** order
-        arg = np.outer(freqs, points) + phase
-        mats.append((part, amp[:, None] * np.cos(arg),
-                     amp[:, None] * np.sin(arg)))
+    for part in parts:
+        amp = _amplitudes(part, model, alpha, t, grid, n)[:, None]
+        arg = np.outer(grid.frequencies, points) + n * math.pi / 2.0
+        mats.append((_COMPONENTS[part], amp * np.cos(arg),
+                     amp * np.sin(arg)))
     # imported here: it costs ~10 ms, which every import of the package
     # would pay
     from concurrent.futures import ThreadPoolExecutor
@@ -335,8 +324,7 @@ def ensemble_values(model: LevyModel, kind: str, alpha: float | None,
             hi = min(lo + batch, replicates)
             step = -(-(hi - lo) // workers)
             acc = np.zeros((hi - lo, points.size))
-            for part, cmat, smat in mats:
-                ca, cb = _COMPONENTS[part]
+            for (ca, cb), cmat, smat in mats:
                 jobs = [pool.submit(fill, range(r, min(r + step, hi)), lo,
                                     ca, cb) for r in range(lo, hi, step)]
                 for job in jobs:
@@ -461,26 +449,29 @@ def increment_scaling_exponent(samples, lags, model: LevyModel) -> ScalingFit:
     return _fit_loglog(lags, d_mean, d_se, band)
 
 
+# the probe bases and ensemble batch of scaling_exponent_ensemble
+_PROBE_BASES = (0.0, 7.0, 14.0, 21.0)
+_PROBE_BATCH = 256
+
+
 def scaling_exponent_ensemble(model: LevyModel, kind: str, alpha, t,
                               grid: SpectralGrid, lags, seed: int,
-                              replicates: int,
-                              bases=(0.0, 7.0, 14.0, 21.0),
-                              batch: int = 256) -> ScalingFit:
+                              replicates: int) -> ScalingFit:
     """Ensemble increment-scaling fit from probe pairs (base, base + lag).
 
     Equivalent in law to fitting over full gridded samples but evaluates the
     field only at the O(bases x lags) points the fit needs, which keeps
-    large-replicate runs cheap.
+    large-replicate runs cheap.  The bases are ``_PROBE_BASES``.
     """
     lags = np.asarray(lags, dtype=float)
     band = _band_for(kind, model, alpha, t, grid)
     _validate_lags(lags, band)
-    bases = np.asarray(bases, dtype=float)
+    bases = np.asarray(_PROBE_BASES)
     points = np.unique(np.concatenate([bases + r
                                        for r in np.concatenate([[0.0], lags])
                                        ]))
     vals = ensemble_values(model, kind, alpha, t, grid, points, seed,
-                           replicates, batch=batch)
+                           replicates, batch=_PROBE_BATCH)
     base_ix = np.searchsorted(points, bases)
     per_rep = np.empty((replicates, lags.size))
     for li, r in enumerate(lags):

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .levy import LevyModel, re_psi
-from .quadrature import (NonConvergenceError, cosine_transform,
-                         integral_to_infinity)
+from .quadrature import (RATIO_CAP, RATIO_DIVERGED, NonConvergenceError,
+                         cosine_transform, gl_panel, integral_to_infinity)
 
 KERNEL_KINDS = ("potential", "pbar", "varV", "varS", "varU")
 # midpoint grid of the "grid" route of quadratic_form
@@ -136,7 +136,6 @@ def _envelope_decay_guard(env, kind: str, summable: bool, context: str):
     compound-Poisson exponent).  Coarse single-panel octaves keep this guard
     cheap; the transform's own bounds do the precise work afterwards.
     """
-    from .quadrature import RATIO_CAP, RATIO_DIVERGED, gl_panel
     masses = [gl_panel(env, 2.0**m, 2.0**(m + 1)) for m in range(14, 24)]
     ratios = [b / a for a, b in zip(masses, masses[1:]) if a > 0.0]
     if not ratios:

@@ -62,7 +62,7 @@ class LevyMeasure:
     @staticmethod
     def from_density(rho: Callable, z_min: float = 0.0,
                      z_max: float = math.inf) -> "LevyMeasure":
-        if z_min < 0 or z_max <= z_min:
+        if not 0 <= z_min < z_max:
             raise ValueError("support must satisfy 0 <= z_min < z_max")
 
         def clipped(z):
@@ -96,7 +96,7 @@ class LevyMeasure:
     def power_law(coeff: float, beta: float, z_min: float = 0.0,
                   z_max: float = math.inf) -> "LevyMeasure":
         """rho(z) = coeff * z^(-1-beta) on (z_min, z_max)."""
-        if coeff < 0:
+        if not coeff >= 0:
             raise ValueError("power-law coefficient must be >= 0")
         if z_min == 0.0 and beta >= 2.0:
             raise ValueError("power-law index beta must be < 2 when the "
@@ -235,8 +235,7 @@ def _jump_exponent(nu: LevyMeasure, xi: float, rel_tol: float) -> float:
     cosine transform are combined; the mask boundary pi/xi coincides with a
     half-period panel edge, so the transform sees no interior jump.
     """
-    key = (xi, rel_tol)
-    hit = nu._exponents.get(key)
+    hit = nu._exponents.get((xi, rel_tol))
     if hit is not None:
         return hit
     if xi == 0.0:
@@ -307,10 +306,16 @@ def _jump_exponent(nu: LevyMeasure, xi: float, rel_tol: float) -> float:
             far += mass - osc
     value = 2.0 * (near + far)
     value = max(value, 0.0)
+    _store_exponent(nu, xi, rel_tol, value)
+    return value
+
+
+def _store_exponent(nu: LevyMeasure, xi: float, rel_tol: float,
+                    value: float):
+    """Keep one exponent in nu's cache, which empties past 100,000 keys."""
     if len(nu._exponents) > 100_000:
         nu._exponents.clear()
-    nu._exponents[key] = value
-    return value
+    nu._exponents[(xi, rel_tol)] = value
 
 
 # Panels of the batched jump exponent, in u = z xi on (0, inf)
@@ -421,14 +426,11 @@ def _jump_exponents(nu: LevyMeasure, xis: np.ndarray,
         out[fits] = np.concatenate([
             _exponent_rows(nu, chunk, rel_tol, lo, hi, kind, shared)
             for chunk in np.array_split(xis[fits], -(-fits.sum() // rows))])
-    cache = nu._exponents
     for i, (xi, value) in enumerate(zip(xis.tolist(), out.tolist())):
         if math.isnan(value):
             out[i] = _jump_exponent(nu, xi, rel_tol)
         else:
-            if len(cache) > 100_000:
-                cache.clear()
-            cache[(xi, rel_tol)] = value
+            _store_exponent(nu, xi, rel_tol, value)
     return out
 
 

@@ -60,6 +60,11 @@ class PathConfig:
         """Default eps = dt^(1/beta), the spatial scale of one step."""
         return self.eps if self.eps is not None else self.dt ** (1.0 / self.beta)
 
+    @property
+    def box_weight(self) -> float:
+        """dt / (2 eps): the local time one left endpoint in a box adds."""
+        return self.dt / (2.0 * self.bandwidth)
+
     def line_model(self) -> LevyModel:
         return LevyModel.stable(self.beta, self.c)
 
@@ -152,38 +157,60 @@ def local_time(positions: np.ndarray, dt: float, y: float,
 
 
 def _paths(cfg: PathConfig, paths: int, seed: int | None, x0: float,
-           alpha: float | None = None, n_steps: int = 0):
-    """The per-path loop every estimator shares; yields (S, positions).
+           levels, stops=(None,), alpha: float | None = None,
+           n_steps: int = 0):
+    """The occupation pass every estimator shares; yields (S, counts).
 
     Path p starts at x0 and owns the stream (seed, DOMAIN_PATH, p).  With
     alpha given, that stream first draws the exponential clock S(alpha)
     and the path runs ceil(S/dt) >= 1 steps; otherwise it runs n_steps and
-    S is None.  The bandwidth guard compares eps with the scale of one
-    step of the law, (2 c dt)^(1/beta), so its verdict does not depend on
-    the seed.  The median |step| is that scale times the median of
-    |standard symmetric beta-stable|, which falls from 1 (Cauchy) to
+    S is None.  counts[i][j] is the number of the first stops[j] left
+    endpoints (None: all of them) inside the box of levels[i]; the
+    estimators combine these integers before they apply cfg.box_weight.
+
+    The bandwidth guard compares eps with the scale of one step of the
+    law, (2 c dt)^(1/beta), so its verdict does not depend on the seed.
+    The median |step| is that scale times the median of |standard
+    symmetric beta-stable|, which falls from 1 (Cauchy) to
     sqrt(2) Phi^-1(3/4) = 0.954 (beta = 2) on the allowed (1, 2]: within
     5 % of the scale, against the guard's factors 2 and 1/4.
     """
     if paths < 2:
         raise ValueError("need at least 2 paths")
-    _check_bandwidth(cfg.bandwidth, (2.0 * cfg.c * cfg.dt) ** (1.0 / cfg.beta))
+    eps = cfg.bandwidth
+    _check_bandwidth(eps, (2.0 * cfg.c * cfg.dt) ** (1.0 / cfg.beta))
     seed = cfg.seed if seed is None else seed
     start = PathConfig(cfg.beta, cfg.c, cfg.dt, x0=x0)
+    levels = list(levels)
     for p in range(paths):
         gen = rng._reopen(seed, rng.DOMAIN_PATH, p)
         s_time, n = None, n_steps
         if alpha is not None:
             s_time = gen.standard_exponential() / alpha
             n = max(1, int(math.ceil(s_time / cfg.dt)))
-        yield s_time, simulate_path(start, n, gen)
+        body = simulate_path(start, n, gen)[:-1]
+        yield s_time, [[int(np.count_nonzero(hit[:stop])) for stop in stops]
+                       for hit in [_hits(body, y, eps) for y in levels]]
 
 
-def _mean_se(n: int, total: float, total_sq: float):
-    """(mean, standard error of the mean) from n, sum and sum of squares."""
-    mean = total / n
-    var = max(total_sq / n - mean * mean, 0.0)
-    return mean, math.sqrt(var / n)
+class _Sums:
+    """Count, sum and sum of squares of the values added, elementwise."""
+
+    def __init__(self):
+        self.n, self.total, self.total_sq = 0, 0.0, 0.0
+
+    def add(self, value):
+        self.n += 1
+        self.total = self.total + value
+        self.total_sq = self.total_sq + value * value
+
+    def mean_se(self):
+        """(mean, standard error of the mean), a rounding-negative variance
+        read as 0; floats for scalar values, arrays otherwise."""
+        mean = self.total / self.n
+        se = np.sqrt(np.maximum(self.total_sq / self.n - mean * mean, 0.0)
+                     / self.n)
+        return (mean, se) if np.ndim(se) else (float(mean), float(se))
 
 
 @dataclass(frozen=True)
@@ -216,18 +243,14 @@ def resolvent_check(cfg: PathConfig, alpha: float, x: float, y: float,
     """Monte Carlo check of the local-time normalisation against u_alpha."""
     if not alpha > 0:
         raise ValueError("alpha must be > 0")
-    eps = cfg.bandwidth
-    factor = cfg.dt / (2.0 * eps)
-    total = 0.0
-    total_sq = 0.0
-    for _, pos in _paths(cfg, paths, seed, x, alpha):
-        val = factor * int(np.count_nonzero(_hits(pos[:-1], y, eps)))
-        total += val
-        total_sq += val * val
-    mean, se = _mean_se(paths, total, total_sq)
+    w = cfg.box_weight
+    sums = _Sums()
+    for _, counts in _paths(cfg, paths, seed, x, [y], alpha=alpha):
+        sums.add(w * counts[0][0])
+    mean, se = sums.mean_se()
     exact = u_alpha(cfg.line_model(), alpha, x - y) / alpha
-    return ResolventResult(mean / alpha, exact, se / alpha, paths, eps,
-                           cfg.dt, mean)
+    return ResolventResult(mean / alpha, exact, se / alpha, paths,
+                           cfg.bandwidth, cfg.dt, mean)
 
 
 @dataclass(frozen=True)
@@ -268,26 +291,18 @@ def corollary_test(cfg: PathConfig, alpha: float, a: float, b: float,
     """
     if not (alpha > 0 and t > 0):
         raise ValueError("alpha and t must be > 0")
-    eps = cfg.bandwidth
-    factor = cfg.dt / (2.0 * eps)
-    stats = {True: [0, 0.0, 0.0], False: [0, 0.0, 0.0]}
-    for s_time, pos in _paths(cfg, paths, seed, a, alpha):
-        body = pos[:-1]
-        ca = int(np.count_nonzero(_hits(body, a, eps)))
-        cb = int(np.count_nonzero(_hits(body, b, eps)))
-        d = factor * (ca - cb)
-        bucket = stats[s_time >= t]
-        bucket[0] += 1
-        bucket[1] += d
-        bucket[2] += d * d
-    n_long, n_short = stats[True][0], stats[False][0]
+    w = cfg.box_weight
+    bins = {True: _Sums(), False: _Sums()}
+    for s_time, counts in _paths(cfg, paths, seed, a, [a, b], alpha=alpha):
+        bins[s_time >= t].add(w * (counts[0][0] - counts[1][0]))
+    n_long, n_short = bins[True].n, bins[False].n
     if n_long < max(1, min_bin_count) or n_short < max(1, min_bin_count):
         raise OccupancyError(
             f"conditioning bins have {n_long} (S>=t) and {n_short} (S<t) "
             f"paths; need >= {max(1, min_bin_count)} each -- increase paths "
             "or choose t nearer the typical exponential time")
-    lhs, lhs_se = _mean_se(*stats[True])
-    rhs, rhs_se = _mean_se(*stats[False])
+    lhs, lhs_se = bins[True].mean_se()
+    rhs, rhs_se = bins[False].mean_se()
     verdict = rhs <= lhs + 2.0 * math.sqrt(lhs_se**2 + rhs_se**2)
     return CorollaryResult(lhs, rhs, lhs_se, rhs_se, n_long, n_short,
                            verdict)
@@ -325,25 +340,19 @@ def discounted_split_check(cfg: PathConfig, alpha: float, a: float, b: float,
     """Monte Carlo check of the pre/post-t discounted local-time estimate."""
     if not (alpha > 0 and t > 0):
         raise ValueError("alpha and t must be > 0")
-    eps = cfg.bandwidth
-    factor = cfg.dt / (2.0 * eps)
+    w = cfg.box_weight
     ct = math.exp(-alpha * t) / (-math.expm1(-alpha * t))
     k_t = int(math.ceil(t / cfg.dt))
-    pre_sum = post_sum = acc = acc_sq = 0.0
-    for _, pos in _paths(cfg, paths, seed, a, alpha):
-        body = pos[:-1]
-        hits = (_hits(body, a, eps).astype(float)
-                - _hits(body, b, eps).astype(float))
-        pre = factor * float(hits[:k_t].sum())
-        post = factor * float(hits[k_t:].sum())
-        pre_sum += pre
-        post_sum += post
-        delta = ct * pre - post
-        acc += delta
-        acc_sq += delta * delta
-    margin, margin_se = _mean_se(paths, acc, acc_sq)
-    return DiscountedSplitResult(post_sum / paths, ct * pre_sum / paths,
-                                 margin, margin_se, paths)
+    sums = _Sums()
+    for _, counts in _paths(cfg, paths, seed, a, [a, b], stops=(k_t, None),
+                            alpha=alpha):
+        (pre_a, all_a), (pre_b, all_b) = counts
+        pre = w * (pre_a - pre_b)
+        post = w * (all_a - pre_a - (all_b - pre_b))
+        sums.add(np.array([pre, post, ct * pre - post]))
+    (_, lhs, margin), (_, _, margin_se) = sums.mean_se()
+    return DiscountedSplitResult(float(lhs), ct * float(sums.total[0]) / paths,
+                                 float(margin), float(margin_se), paths)
 
 
 def mean_local_times(cfg: PathConfig, levels, times, paths: int,
@@ -359,22 +368,12 @@ def mean_local_times(cfg: PathConfig, levels, times, paths: int,
         raise ValueError("need at least one horizon")
     if not all(t > 0 for t in times):
         raise ValueError("horizons must be > 0")
-    eps = cfg.bandwidth
     steps = [int(round(t / cfg.dt)) for t in times]
     if any(abs(s * cfg.dt - t) > 1e-9 * t for s, t in zip(steps, times)):
         raise ValueError("times must be integer multiples of dt")
-    levels = list(levels)
-    factor = cfg.dt / (2.0 * eps)
-    acc = np.zeros((len(times), len(levels)))
-    acc_sq = np.zeros_like(acc)
-    for _, pos in _paths(cfg, paths, seed, cfg.x0, n_steps=steps[-1]):
-        body = pos[:-1]
-        for li, y in enumerate(levels):
-            cum = np.cumsum(_hits(body, y, eps))
-            for ti, s in enumerate(steps):
-                val = factor * float(cum[s - 1])
-                acc[ti, li] += val
-                acc_sq[ti, li] += val * val
-    means = acc / paths
-    var = np.maximum(acc_sq / paths - means * means, 0.0)
-    return means, np.sqrt(var / paths)
+    w = cfg.box_weight
+    sums = _Sums()
+    for _, counts in _paths(cfg, paths, seed, cfg.x0, levels, stops=steps,
+                            n_steps=steps[-1]):
+        sums.add(w * np.array(counts).T)
+    return sums.mean_se()

@@ -382,7 +382,7 @@ def check_lt_additivity(model, seed, scale, tol_scale):
     first = localtime.local_time(pos[:2001], cfg.dt, 0.1, eps).value
     second = localtime.local_time(pos[2000:], cfg.dt, 0.1, eps).value
     # the box counts split exactly; the scaled values agree to rounding
-    counts = [int(np.count_nonzero(np.abs(seg - 0.1) < eps))
+    counts = [int(np.count_nonzero(localtime._hits(seg, 0.1, eps)))
               for seg in (pos[:-1], pos[:2000], pos[2000:-1])]
     ok = counts[0] == counts[1] + counts[2] \
         and abs(whole - (first + second)) <= 1e-12 * abs(first + second)

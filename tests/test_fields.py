@@ -262,6 +262,21 @@ def test_derivative_order_is_checked():
                      derivative_order=-1)
 
 
+def test_derivative_reuses_the_s_draws(monkeypatch):
+    # V and S draw two streams each; the derivative field reads the S draws
+    components = []
+    normals = fields._mode_normals
+
+    def counted(seed, replicate, component, n_modes, out=None):
+        components.append(component)
+        return normals(seed, replicate, component, n_modes, out=out)
+
+    monkeypatch.setattr(fields, "_mode_normals", counted)
+    sample_joint(STABLE, 1.0, 0.5, SpectralGrid(64.0, 128),
+                 np.linspace(0.0, 1.0, 5), seed=1, derivative_order=2)
+    assert sorted(components) == [0, 1, 2, 3]
+
+
 def test_heat_field_variance_small_t():
     grid = SpectralGrid(512.0, 4096)
     vals = ensemble_values(BROWNIAN, "U", None, 1e-6, grid,

@@ -90,6 +90,12 @@ _PATH = PathConfig(2.0, 1.0, 1e-3)
     (lambda: feller_functions(LevyModel.stable(1.5, 1.0), _NAN),
      "eps must be > 0"),
     (lambda: averaged_exponent(_BROWNIAN, _NAN), "xi must be > 0"),
+    (lambda: LevyMeasure.power_law(_NAN, 1.5),
+     "power-law coefficient must be >= 0"),
+    (lambda: LevyMeasure.power_law(1.0, 1.5, z_min=_NAN),
+     "support must satisfy"),
+    (lambda: LevyMeasure.power_law(1.0, 1.5, z_max=_NAN),
+     "support must satisfy"),
 ], ids=["brownian-kappa", "stable-c", "khintchine-sigma2", "path-c",
         "path-dt", "path-eps", "torus-circumference", "torus-alpha",
         "torus-dt", "grid-cutoff", "query-alpha", "query-t",
@@ -98,7 +104,8 @@ _PATH = PathConfig(2.0, 1.0, 1e-3)
         "increment-dt", "local-time-eps", "resolvent-alpha",
         "corollary-alpha", "corollary-t", "split-alpha", "split-t",
         "horizon", "later-horizon", "torus-t-end", "condition-alpha",
-        "feller-eps", "averaged-xi"])
+        "feller-eps", "averaged-xi", "power-law-coeff", "support-z-min",
+        "support-z-max"])
 def test_guards_reject_nan(build, message):
     # a guard written x <= 0 is false for NaN and let it through
     with pytest.raises(ValueError, match=message):

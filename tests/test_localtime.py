@@ -163,6 +163,23 @@ def test_hitting_domination_and_linear_growth():
     assert res.passed, res.detail
 
 
+def test_occupation_pass_matches_the_standalone_estimator():
+    # the shared pass counts, bit for bit, what local_time counts on the
+    # positions of each path's own stream
+    cfg = PathConfig(1.5, 0.5, 1e-3, x0=0.2)
+    levels, times = [0.0, 0.2, 0.4], [0.25, 0.5]
+    means, _ = mean_local_times(cfg, levels, times, paths=2, seed=31)
+    paths = [simulate_path(cfg, 500, rng.stream(31, rng.DOMAIN_PATH, p))
+             for p in range(2)]
+    for ti, t in enumerate(times):
+        n = int(round(t / cfg.dt))
+        for li, y in enumerate(levels):
+            vals = [local_time(pos[:n + 1], cfg.dt, y, cfg.bandwidth).value
+                    for pos in paths]
+            assert means[ti, li] == sum(vals) / len(vals)
+    assert means[-1].min() > 0.0   # every level is visited
+
+
 def test_mean_local_times_validation():
     cfg = PathConfig(1.5, 0.5, 1e-3, seed=0)
     with pytest.raises(ValueError):
