@@ -334,30 +334,6 @@ def ensemble_values(model: LevyModel, kind: str, alpha: float | None,
     return out
 
 
-@dataclass
-class RunningMoments:
-    """Running (count, sum, sum of squares) of the values added."""
-
-    count: int = 0
-    total: float = 0.0
-    total_sq: float = 0.0
-
-    def add(self, values: np.ndarray):
-        values = np.asarray(values, dtype=float)
-        self.count += values.size
-        self.total += float(values.sum())
-        self.total_sq += float((values * values).sum())
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count
-
-    @property
-    def variance(self) -> float:
-        m = self.mean
-        return self.total_sq / self.count - m * m
-
-
 @dataclass(frozen=True)
 class ScalingFit:
     slope: float
@@ -405,7 +381,13 @@ def _pair_indices(x: np.ndarray, lags: np.ndarray):
     return out
 
 
-def _fit_loglog(lags, d_mean, d_se, band) -> ScalingFit:
+def _fit_loglog(lags, per_rep, band) -> ScalingFit:
+    """OLS slope of log D on log lag, D the mean of the replicate rows of
+    per_rep, with a delta-method se from their scatter (0 for one row)."""
+    reps = per_rep.shape[0]
+    d_mean = per_rep.mean(axis=0)
+    d_se = per_rep.std(axis=0, ddof=1) / math.sqrt(reps) if reps > 1 \
+        else np.zeros(lags.size)
     log_r = np.log(lags)
     log_d = np.log(d_mean)
     xc = log_r - log_r.mean()
@@ -436,17 +418,13 @@ def increment_scaling_exponent(samples, lags, model: LevyModel) -> ScalingFit:
     band = _band_for(s0.kind, model, s0.alpha, s0.t, s0.grid)
     _validate_lags(lags, band)
     pair_idx = _pair_indices(s0.x, lags)
-    reps = len(samples)
-    per_rep = np.empty((reps, lags.size))
+    per_rep = np.empty((len(samples), lags.size))
     for k, s in enumerate(samples):
         v = s.values
         for li, (ii, jj) in enumerate(pair_idx):
             d = v[jj] - v[ii]
             per_rep[k, li] = np.mean(d * d)
-    d_mean = per_rep.mean(axis=0)
-    d_se = per_rep.std(axis=0, ddof=1) / math.sqrt(reps) if reps > 1 \
-        else np.zeros(lags.size)
-    return _fit_loglog(lags, d_mean, d_se, band)
+    return _fit_loglog(lags, per_rep, band)
 
 
 # the probe bases and ensemble batch of scaling_exponent_ensemble
@@ -478,9 +456,7 @@ def scaling_exponent_ensemble(model: LevyModel, kind: str, alpha, t,
         off_ix = np.searchsorted(points, bases + r)
         d = vals[:, off_ix] - vals[:, base_ix]
         per_rep[:, li] = np.mean(d * d, axis=1)
-    d_mean = per_rep.mean(axis=0)
-    d_se = per_rep.std(axis=0, ddof=1) / math.sqrt(replicates)
-    return _fit_loglog(lags, d_mean, d_se, band)
+    return _fit_loglog(lags, per_rep, band)
 
 
 def ensemble_covariance(vals: np.ndarray, j: int) -> tuple[float, float]:

@@ -193,26 +193,6 @@ def _paths(cfg: PathConfig, paths: int, seed: int | None, x0: float,
                        for hit in [_hits(body, y, eps) for y in levels]]
 
 
-class _Sums:
-    """Count, sum and sum of squares of the values added, elementwise."""
-
-    def __init__(self):
-        self.n, self.total, self.total_sq = 0, 0.0, 0.0
-
-    def add(self, value):
-        self.n += 1
-        self.total = self.total + value
-        self.total_sq = self.total_sq + value * value
-
-    def mean_se(self):
-        """(mean, standard error of the mean), a rounding-negative variance
-        read as 0; floats for scalar values, arrays otherwise."""
-        mean = self.total / self.n
-        se = np.sqrt(np.maximum(self.total_sq / self.n - mean * mean, 0.0)
-                     / self.n)
-        return (mean, se) if np.ndim(se) else (float(mean), float(se))
-
-
 @dataclass(frozen=True)
 class ResolventResult:
     """Discounted-resolvent comparison int_0^inf e^{-alpha s} E L_s ds.
@@ -244,7 +224,7 @@ def resolvent_check(cfg: PathConfig, alpha: float, x: float, y: float,
     if not alpha > 0:
         raise ValueError("alpha must be > 0")
     w = cfg.box_weight
-    sums = _Sums()
+    sums = rng.Moments()
     for _, counts in _paths(cfg, paths, seed, x, [y], alpha=alpha):
         sums.add(w * counts[0][0])
     mean, se = sums.mean_se()
@@ -292,7 +272,7 @@ def corollary_test(cfg: PathConfig, alpha: float, a: float, b: float,
     if not (alpha > 0 and t > 0):
         raise ValueError("alpha and t must be > 0")
     w = cfg.box_weight
-    bins = {True: _Sums(), False: _Sums()}
+    bins = {True: rng.Moments(), False: rng.Moments()}
     for s_time, counts in _paths(cfg, paths, seed, a, [a, b], alpha=alpha):
         bins[s_time >= t].add(w * (counts[0][0] - counts[1][0]))
     n_long, n_short = bins[True].n, bins[False].n
@@ -343,7 +323,7 @@ def discounted_split_check(cfg: PathConfig, alpha: float, a: float, b: float,
     w = cfg.box_weight
     ct = math.exp(-alpha * t) / (-math.expm1(-alpha * t))
     k_t = int(math.ceil(t / cfg.dt))
-    sums = _Sums()
+    sums = rng.Moments()
     for _, counts in _paths(cfg, paths, seed, a, [a, b], stops=(k_t, None),
                             alpha=alpha):
         (pre_a, all_a), (pre_b, all_b) = counts
@@ -363,7 +343,7 @@ def mean_local_times(cfg: PathConfig, levels, times, paths: int,
     run to max(times) and the estimates at earlier horizons reuse the same
     trajectories (exact local-time additivity makes the restriction exact).
     """
-    times = sorted(times)
+    times = list(times)
     if not times:
         raise ValueError("need at least one horizon")
     if not all(t > 0 for t in times):
@@ -372,8 +352,8 @@ def mean_local_times(cfg: PathConfig, levels, times, paths: int,
     if any(abs(s * cfg.dt - t) > 1e-9 * t for s, t in zip(steps, times)):
         raise ValueError("times must be integer multiples of dt")
     w = cfg.box_weight
-    sums = _Sums()
+    sums = rng.Moments()
     for _, counts in _paths(cfg, paths, seed, cfg.x0, levels, stops=steps,
-                            n_steps=steps[-1]):
+                            n_steps=max(steps)):
         sums.add(w * np.array(counts).T)
     return sums.mean_se()

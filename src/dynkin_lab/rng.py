@@ -19,10 +19,14 @@ that thread's one Generator: the draws are those of ``stream`` at the same
 address, but the next ``_reopen`` on the same thread restarts it.  Use it
 only in a loop that uses up each stream before it opens the next one, and
 never hand its Generator to code that might open another.
+
+``Moments`` is the one Monte Carlo accumulator: count, elementwise sum and
+sum of squares (and optionally outer products) of the values added.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -61,3 +65,41 @@ def _reopen(seed: int, domain: int, replicate: int = 0,
         "buffer": _EMPTY_BUFFER, "buffer_pos": 4, "has_uint32": 0,
         "uinteger": 0}
     return gen
+
+
+class Moments:
+    """Count, sum and sum of squares of the values added, elementwise.
+
+    With ``cross=True`` it also sums the outer products value x value.
+    Variances read a rounding-negative value as 0; means and spreads are
+    floats for scalar values and arrays otherwise.
+    """
+
+    def __init__(self, cross: bool = False):
+        self.n, self.total, self.total_sq = 0, 0.0, 0.0
+        self.cross = 0.0 if cross else None
+
+    def add(self, value):
+        self.n += 1
+        self.total = self.total + value
+        self.total_sq = self.total_sq + value * value
+        if self.cross is not None:
+            self.cross = self.cross + np.outer(value, value)
+
+    def mean_var(self):
+        """(mean, variance) of the values added."""
+        mean = self.total / self.n
+        var = np.maximum(self.total_sq / self.n - mean * mean, 0.0)
+        return (mean, var) if np.ndim(var) else (float(mean), float(var))
+
+    def mean_se(self):
+        """(mean, standard error of the mean)."""
+        mean, var = self.mean_var()
+        se = np.sqrt(var / self.n)
+        return (mean, se) if np.ndim(se) else (mean, float(se))
+
+
+def second_moment_se(var, n: int):
+    """Standard error var * sqrt(2/n) of a Gaussian second moment from n
+    draws."""
+    return var * math.sqrt(2.0 / n)

@@ -236,9 +236,7 @@ def run_moments(cfg: TorusConfig, model: LevyModel, t_end: float,
     op = StepOperator(cfg, model)
     stops, slots = ((half_steps, n_steps), (0, 1)) if half_steps > 0 \
         else ((n_steps,), (1,))
-    sums = np.zeros((2, probes.size))
-    sums_sq = np.zeros((2, probes.size))
-    cross = np.zeros((probes.size, probes.size))
+    acc = [rng.Moments(), rng.Moments(cross=True)]   # t_end/2, t_end
     image = None
     if cfg.alpha > 0:
         image = image_sum_correction(cfg, model)
@@ -258,33 +256,29 @@ def run_moments(cfg: TorusConfig, model: LevyModel, t_end: float,
 
     for states in _paths(op, seed, paths, stops):
         for slot, state in zip(slots, states):
-            vals = fast_values(state)
-            sums[slot] += vals
-            sums_sq[slot] += vals * vals
-        cross += np.outer(vals, vals)   # the values at t_end
+            acc[slot].add(fast_values(state))
     rows = []
     var_by_slot = []
     for slot, t in ((0, half_steps * cfg.dt), (1, n_steps * cfg.dt)):
         if slot == 0 and half_steps == 0:
             var_by_slot.append(None)
             continue
-        mean = sums[slot] / paths
-        var = sums_sq[slot] / paths - mean * mean
+        mean, var = acc[slot].mean_var()
         exact = point_variance_exact(cfg, model, t)
-        se = var * math.sqrt(2.0 / paths)
+        se = rng.second_moment_se(var, paths)
         var_by_slot.append(float(var[0]))
         for j, xj in enumerate(probes):
             rows.append(MomentRow(t, float(xj), float(mean[j]),
                                   float(var[j]), exact, float(se[j]), paths))
     t_end_eff = n_steps * cfg.dt
-    mean_end = sums[1] / paths
+    cov = acc[1].cross / paths - np.outer(mean, mean)   # mean at t_end
     covs = []
     for i in range(probes.size):
         for j in range(i + 1, probes.size):
-            emp = cross[i, j] / paths - mean_end[i] * mean_end[j]
             lag = abs(float(probes[j] - probes[i]))
             covs.append(CovarianceRow(
-                t_end_eff, float(probes[i]), float(probes[j]), float(emp),
+                t_end_eff, float(probes[i]), float(probes[j]),
+                float(cov[i, j]),
                 point_covariance_exact(cfg, model, t_end_eff, lag)))
     gap = bound = None
     if cfg.alpha > 0 and var_by_slot[0] is not None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -278,7 +278,7 @@ def check_derivative_variance(model, seed, scale, tol_scale):
             / (alpha + 2 * re_psi(m, x)), 0.0)[0]
         bias = fields.discretisation_bias("S", m, alpha, t, grid,
                                           derivative_order=n).total
-        se = emp * math.sqrt(2.0 / reps)
+        se = rng.second_moment_se(emp, reps)
         slack = 3.0 * se + bias - abs(emp - exact)
         worst = min(worst, slack)
     return CheckResult("synthesis", "derivative-field-variance", worst >= 0,
@@ -311,13 +311,15 @@ def check_dt_invariance(model, seed, scale, tol_scale):
     var = {}
     for dt, s in ((0.1, seed + 1), (0.0125, seed)):
         cfg = torus.TorusConfig(16.0, 65, 2.0, dt)
-        acc = fields.RunningMoments()
+        acc = rng.Moments()   # per path: (sum u, sum u^2) over the probes
         for (st,) in torus._paths(torus.StepOperator(cfg, model), s, paths,
                                   (int(round(1.0 / dt)),)):
-            acc.add(torus.snapshot(st, cfg, [0.0, 5.0, 10.0]))
-        var[dt] = acc.variance
+            u = torus.snapshot(st, cfg, [0.0, 5.0, 10.0])
+            acc.add(np.array([u.sum(), (u * u).sum()]))
+        mean, mean_sq = acc.total / (3 * acc.n)
+        var[dt] = mean_sq - mean * mean
     exact = torus.point_variance_exact(cfg, model, 1.0)  # free of dt
-    se = exact * math.sqrt(2.0 / paths)
+    se = rng.second_moment_se(exact, paths)
     worst = min(3 * se - abs(var[0.1] - exact),
                 3 * math.sqrt(2) * se - abs(var[0.1] - var[0.0125]))
     return CheckResult("spde", "dt-invariance-in-law", worst >= 0,
@@ -351,7 +353,7 @@ def check_stationary_spectrum(model, seed, scale, tol_scale):
     rate = torus._rates(cfg, model)
     exact = 1.0 / (cfg.circumference * rate)
     relax = np.exp(-rate * t_end) * exact
-    se = exact * math.sqrt(2.0 / paths)  # |u_n|^2 has two d.o.f. per mode
+    se = rng.second_moment_se(exact, paths)  # two d.o.f. per mode
     worst = float(np.min(3.0 * se + relax - np.abs(emp - exact)))
     return CheckResult("spde", "stationary-mode-spectrum", worst >= 0,
                        f"min slack {worst:.3e}")
@@ -373,8 +375,12 @@ def check_heat_cable_modes(model, seed, scale, tol_scale):
 
 # ------------------------------------------------------------ localtime ---
 
+# the walk of every local-time check; the checks pass their own seeds
+_LT_WALK = localtime.PathConfig(1.5, 0.5, 1e-3)
+
+
 def check_lt_additivity(model, seed, scale, tol_scale):
-    cfg = localtime.PathConfig(1.5, 0.5, 1e-3, seed=seed)
+    cfg = _LT_WALK
     gen = rng.stream(seed, rng.DOMAIN_PATH, 0)
     pos = localtime.simulate_path(cfg, 4000, gen)
     eps = cfg.bandwidth
@@ -394,8 +400,8 @@ def check_lt_domination(model, seed, scale, tol_scale):
     paths = max(1000, int(4000 * scale))
     y, x = 0.0, 0.5
     times = [1.0, 2.0, 4.0]
-    from_x = localtime.PathConfig(1.5, 0.5, 1e-3, x0=x, seed=seed)
-    from_y = localtime.PathConfig(1.5, 0.5, 1e-3, x0=y, seed=seed)
+    from_x = replace(_LT_WALK, x0=x)
+    from_y = replace(_LT_WALK, x0=y)
     mx, sx = localtime.mean_local_times(from_x, [y], times, paths,
                                         seed=seed)
     my, sy = localtime.mean_local_times(from_y, [y], times, paths,
@@ -413,8 +419,7 @@ def check_lt_domination(model, seed, scale, tol_scale):
 
 def check_lt_discounted_split(model, seed, scale, tol_scale):
     paths = max(2000, int(10000 * scale))
-    cfg = localtime.PathConfig(1.5, 0.5, 1e-3, seed=seed)
-    res = localtime.discounted_split_check(cfg, 1.0, 0.0, 1.0,
+    res = localtime.discounted_split_check(_LT_WALK, 1.0, 0.0, 1.0,
                                            math.log(2.0), paths, seed=seed)
     return CheckResult("localtime", "discounted-split-inequality",
                        res.verdict and res.margin > 0,

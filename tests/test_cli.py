@@ -223,6 +223,10 @@ _OUTPUT_CASES = {
         "experiment": "corollary", "beta": 1.5, "c": 1.0, "alpha": 1,
         "a": 0, "b": 1, "dt": 0.02, "paths": 1200}}),
     "verify": ("verify", _BROWNIAN, {"verify": {"suites": ["levy"]}}),
+    "verify-spde": ("verify", _BROWNIAN, {"verify": {
+        "suites": ["spde"], "paths_scale": 0.1}}),
+    "verify-localtime": ("verify", _BROWNIAN, {"verify": {
+        "suites": ["localtime"], "paths_scale": 0.1}}),
 }
 # SHA-256 of every file written, timings masked: a change to any output's
 # bytes has to update these on purpose
@@ -283,6 +287,14 @@ _OUTPUT_DIGESTS = {
         "52889f9528c299ff83cf0c08453c9c0d9b9289d358b676d68c0839764be531e0",
     ("verify", "verify_summary.txt"):
         "c1e624d78ce4ad91f2550230c84f4246bbd4fc135d9905a302ce40530a51e4ec",
+    ("verify-spde", "verify.csv"):
+        "b300eb02d9fcd30972db0d9803862e7f11ed4b646cfa9a4e23ea2315b5452e24",
+    ("verify-spde", "verify_summary.txt"):
+        "e45bb3d43db69ae053f2e116648adffc664ecf0372a6a66318d7c774a704ef57",
+    ("verify-localtime", "verify.csv"):
+        "9b182ba1b7f693b05843ab033144c6b44b3b6fdc50f9b9e4fdd989239b00369a",
+    ("verify-localtime", "verify_summary.txt"):
+        "73d83950ffdddee55a52282a820be4e697f0af538f7ec7ff198075b99dd1de30",
 }
 
 

@@ -180,6 +180,17 @@ def test_occupation_pass_matches_the_standalone_estimator():
     assert means[-1].min() > 0.0   # every level is visited
 
 
+def test_mean_local_times_rows_follow_the_given_horizons():
+    # rows come in the order of ``times``, bit for bit those of the sorted
+    # call reversed
+    cfg = PathConfig(1.5, 0.5, 1e-3, x0=0.2)
+    up = mean_local_times(cfg, [0.0, 0.3], [0.25, 0.5, 1.0], 20, seed=14)
+    down = mean_local_times(cfg, [0.0, 0.3], [1.0, 0.5, 0.25], 20, seed=14)
+    for a, b in zip(up, down):
+        assert a[::-1].tolist() == b.tolist()
+    assert not np.array_equal(up[0][0], up[0][-1])
+
+
 def test_mean_local_times_validation():
     cfg = PathConfig(1.5, 0.5, 1e-3, seed=0)
     with pytest.raises(ValueError):

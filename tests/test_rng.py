@@ -85,3 +85,57 @@ def test_threads_interleaving_opens_reproduce_the_serial_rows():
     assert errors == []
     for t in range(threads_n):
         assert np.array_equal(out[t], serial)
+
+
+def _plain_sums(values):
+    n, total, total_sq = 0, 0.0, 0.0
+    for v in values:
+        n += 1
+        total = total + v
+        total_sq = total_sq + v * v
+    mean = total / n
+    return mean, np.sqrt(np.maximum(total_sq / n - mean * mean, 0.0) / n)
+
+
+def test_moments_add_is_the_plain_loop_bit_for_bit():
+    gen = rng.stream(3, 99)
+    scalars = [float(v) for v in gen.standard_normal(17)]
+    acc = rng.Moments()
+    for v in scalars:
+        acc.add(v)
+    mean, se = acc.mean_se()
+    assert type(mean) is float and type(se) is float
+    assert (mean, se) == tuple(float(v) for v in _plain_sums(scalars))
+    vectors = list(gen.standard_normal((17, 3)))
+    acc = rng.Moments(cross=True)
+    cross = np.zeros((3, 3))
+    for v in vectors:
+        acc.add(v)
+        cross += np.outer(v, v)
+    mean, se = acc.mean_se()
+    want_mean, want_se = _plain_sums(vectors)
+    assert mean.tolist() == want_mean.tolist()
+    assert se.tolist() == want_se.tolist()
+    assert acc.cross.tolist() == cross.tolist()
+    mean, var = acc.mean_var()
+    assert var.tolist() == (acc.total_sq / 17 - mean * mean).tolist()
+
+
+def test_moments_clamp_a_rounding_negative_variance():
+    # three equal values 0.1 give total_sq/n - mean^2 = -1.7e-18
+    acc = rng.Moments()
+    for _ in range(3):
+        acc.add(0.1)
+    assert acc.total_sq / 3 - (acc.total / 3) ** 2 < 0.0
+    assert acc.mean_var()[1] == 0.0
+    assert acc.mean_se()[1] == 0.0
+    vec = rng.Moments()
+    for _ in range(3):
+        vec.add(np.array([0.1, 1.0]))
+    assert vec.mean_se()[1].tolist() == [0.0, 0.0]
+
+
+def test_second_moment_se():
+    assert rng.second_moment_se(2.0, 8) == 1.0
+    assert rng.second_moment_se(np.array([1.0, 3.0]), 50).tolist() == [
+        0.2, 0.6000000000000001]
