@@ -18,10 +18,10 @@ from .levy import (ConditionReport, LevyMeasure, LevyModel,
                    averaged_exponent, condition_report, feller_functions,
                    re_psi, stable_jump_coefficient)
 from .localtime import (BandwidthError, CorollaryResult,
-                        DiscountedSplitResult, LocalTimeEstimate,
-                        OccupancyError, PathConfig, ResolventResult,
-                        corollary_test, discounted_split_check, local_time,
-                        resolvent_check, stable_increment)
+                        DiscountedSplitResult, OccupancyError, PathConfig,
+                        ResolventResult, corollary_test,
+                        discounted_split_check, local_time, resolvent_check,
+                        stable_increment)
 from .quadrature import NonConvergenceError
 from .torus import (MomentReport, TorusConfig, TorusState, initial_state,
                     mode_variance, point_variance_exact, run_moments,
@@ -33,8 +33,7 @@ __all__ = [
     "AtomicMeasure", "BandwidthError", "BiasReport", "ConditionReport",
     "ConfigError", "CorollaryResult", "DiscountedSplitResult",
     "ExperimentConfig", "FieldSample",
-    "KernelQuery", "LevyMeasure", "LevyModel", "LocalTimeEstimate",
-    "MomentReport", "NonConvergenceError", "OccupancyError", "PathConfig",
+    "KernelQuery", "LevyMeasure", "LevyModel", "MomentReport", "NonConvergenceError", "OccupancyError", "PathConfig",
     "ResolventResult", "SpectralGrid", "TorusConfig", "TorusState",
     "VarianceProfile", "averaged_exponent", "condition_report",
     "corollary_test", "delta_difference", "discounted_split_check",

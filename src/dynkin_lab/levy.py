@@ -24,9 +24,9 @@ from typing import Callable
 import numpy as np
 
 from .quadrature import (_GL_NODES, _GL_WEIGHTS, OSC_LAG, OSC_WINDOW,
-                         NonConvergenceError, _averaged_tail, _geometric_tail,
-                         adaptive, cosine_transform, dyadic_integral_to_zero,
-                         integral_to_infinity)
+                         NonConvergenceError, _averaged_limit,
+                         _geometric_tail, adaptive, cosine_transform,
+                         dyadic_integral_to_zero, integral_to_infinity)
 
 SATISFIED = "satisfied-numerically"
 VIOLATED = "violated-numerically"
@@ -469,13 +469,8 @@ def _exponent_rows(nu, xi, rel_tol, lo, hi, kind, shared):
     osc = partials[:, -1]
     if nu.z_max == math.inf:
         mass_tail, mass_unc, far_ok = _shrinking_tail(mass)
-        # the window as a list of columns: one averaging for every row
-        osc, acc_err = _averaged_tail(list(partials[:, -OSC_WINDOW:].T))
-        osc_mid, _ = _averaged_tail(
-            list(partials[:, -OSC_WINDOW - OSC_LAG:-OSC_LAG].T))
-        # as in cosine_transform: the lag drift extrapolates the bias
-        osc_bound = 4.0 * acc_err + np.abs(osc - osc_mid) \
-            * ((_OSC_PANELS + 1) / OSC_LAG)
+        # the sums end at u = (_OSC_PANELS + 1) pi
+        osc, osc_bound = _averaged_limit(partials, _OSC_PANELS + 1)
     half_value = near.sum(axis=1) + near_tail + bridge + mass.sum(axis=1) \
         + mass_tail - osc
     with np.errstate(invalid="ignore"):
@@ -490,7 +485,8 @@ def re_psi(model: LevyModel, xi, rel_tol: float = 1e-8):
     """RePsi(xi); even, nonnegative, RePsi(0) = 0.  Vectorised over xi.
 
     For khintchine models the cold |xi| of one call go through
-    ``_jump_exponents`` together; the cached ones are read back.
+    ``_jump_exponents`` together; the cached ones are read back.  A
+    non-finite xi is a ValueError there, raised before any quadrature.
     """
     arr = np.asarray(xi, dtype=float)
     # a scalar goes through the array loops too: numpy's scalar power can
@@ -502,6 +498,8 @@ def re_psi(model: LevyModel, xi, rel_tol: float = 1e-8):
         out = model.c * a ** model.beta
     else:
         assert model.nu is not None
+        if not np.all(np.isfinite(a)):
+            raise ValueError("xi must be finite")
         gauss = 0.5 * model.sigma2 * a * a
         cache = model.nu._exponents
         points = a.ravel().tolist()

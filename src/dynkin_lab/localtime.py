@@ -8,9 +8,13 @@ the box occupation estimator
 
     Lhat = (dt / 2 eps) * #{ steps j : |X_{j dt} - y| < eps },
 
-counted over left endpoints j = 0..n-1.  Each path owns one counter-based
-stream; when an exponential horizon S(alpha) is involved it is drawn first
-and the path is simulated for ceil(S/dt) steps.
+counted over left endpoints j = 0..n-1.  A PathConfig is the walk's law,
+its discretisation and its stream, nothing else: path p of an experiment
+draws from (cfg.seed, DOMAIN_PATH, p).  The start is the experiment's own
+argument: x for ``resolvent_check``, a for ``corollary_test`` and
+``discounted_split_check``, x0 for ``mean_local_times``.  When an
+exponential horizon S(alpha) is involved it is drawn first and the path is
+simulated for ceil(S/dt) steps.
 """
 
 from __future__ import annotations
@@ -35,12 +39,12 @@ class OccupancyError(RuntimeError):
 
 @dataclass(frozen=True)
 class PathConfig:
-    """Walk of the symmetrised process with exponent 2 c |xi|^beta."""
+    """Walk of the symmetrised process with exponent 2 c |xi|^beta, its
+    step dt, box half-width eps and the seed of its path streams."""
 
     beta: float
     c: float
     dt: float
-    x0: float = 0.0
     eps: float | None = None
     seed: int = 0
 
@@ -67,13 +71,6 @@ class PathConfig:
 
     def line_model(self) -> LevyModel:
         return LevyModel.stable(self.beta, self.c)
-
-
-@dataclass(frozen=True)
-class LocalTimeEstimate:
-    level: float
-    value: float
-    bandwidth: float
 
 
 def stable_increment(beta: float, c: float, dt: float,
@@ -111,14 +108,14 @@ def stable_increment(beta: float, c: float, dt: float,
     return float(out[0]) if size is None else out
 
 
-def simulate_path(cfg: PathConfig, n_steps: int,
-                  gen: np.random.Generator) -> np.ndarray:
-    """Positions X_0..X_n including the start point."""
+def simulate_path(cfg: PathConfig, n_steps: int, gen: np.random.Generator,
+                  x0: float = 0.0) -> np.ndarray:
+    """Positions X_0..X_n including the start point X_0 = x0."""
     inc = stable_increment(cfg.beta, cfg.c, cfg.dt, gen, size=n_steps)
     out = np.empty(n_steps + 1)
-    out[0] = cfg.x0
+    out[0] = x0
     np.cumsum(inc, out=out[1:])
-    out[1:] += cfg.x0
+    out[1:] += x0
     return out
 
 
@@ -143,7 +140,7 @@ def _hits(body: np.ndarray, y: float, eps: float) -> np.ndarray:
 
 
 def local_time(positions: np.ndarray, dt: float, y: float,
-               eps: float) -> LocalTimeEstimate:
+               eps: float) -> float:
     """Box occupation estimate of the local time at level y.
 
     Counts the left endpoints X_0..X_{n-1} inside (y-eps, y+eps); the
@@ -153,15 +150,14 @@ def local_time(positions: np.ndarray, dt: float, y: float,
     _check_bandwidth(eps, float(np.median(np.abs(np.diff(positions))))
                      if positions.size >= 2 else 0.0)
     count = int(np.count_nonzero(_hits(positions[:-1], y, eps)))
-    return LocalTimeEstimate(y, dt / (2.0 * eps) * count, eps)
+    return dt / (2.0 * eps) * count
 
 
-def _paths(cfg: PathConfig, paths: int, seed: int | None, x0: float,
-           levels, stops=(None,), alpha: float | None = None,
-           n_steps: int = 0):
+def _paths(cfg: PathConfig, paths: int, x0: float, levels, stops=(None,),
+           alpha: float | None = None, n_steps: int = 0):
     """The occupation pass every estimator shares; yields (S, counts).
 
-    Path p starts at x0 and owns the stream (seed, DOMAIN_PATH, p).  With
+    Path p starts at x0 and owns the stream (cfg.seed, DOMAIN_PATH, p).  With
     alpha given, that stream first draws the exponential clock S(alpha)
     and the path runs ceil(S/dt) >= 1 steps; otherwise it runs n_steps and
     S is None.  counts[i][j] is the number of the first stops[j] left
@@ -179,16 +175,14 @@ def _paths(cfg: PathConfig, paths: int, seed: int | None, x0: float,
         raise ValueError("need at least 2 paths")
     eps = cfg.bandwidth
     _check_bandwidth(eps, (2.0 * cfg.c * cfg.dt) ** (1.0 / cfg.beta))
-    seed = cfg.seed if seed is None else seed
-    start = PathConfig(cfg.beta, cfg.c, cfg.dt, x0=x0)
     levels = list(levels)
     for p in range(paths):
-        gen = rng._reopen(seed, rng.DOMAIN_PATH, p)
+        gen = rng._reopen(cfg.seed, rng.DOMAIN_PATH, p)
         s_time, n = None, n_steps
         if alpha is not None:
             s_time = gen.standard_exponential() / alpha
             n = max(1, int(math.ceil(s_time / cfg.dt)))
-        body = simulate_path(start, n, gen)[:-1]
+        body = simulate_path(cfg, n, gen, x0)[:-1]
         yield s_time, [[int(np.count_nonzero(hit[:stop])) for stop in stops]
                        for hit in [_hits(body, y, eps) for y in levels]]
 
@@ -219,13 +213,14 @@ class ResolventResult:
 
 
 def resolvent_check(cfg: PathConfig, alpha: float, x: float, y: float,
-                    paths: int, seed: int | None = None) -> ResolventResult:
-    """Monte Carlo check of the local-time normalisation against u_alpha."""
+                    paths: int) -> ResolventResult:
+    """Monte Carlo check of the local-time normalisation against u_alpha;
+    every path starts at x and the boxes sit at y."""
     if not alpha > 0:
         raise ValueError("alpha must be > 0")
     w = cfg.box_weight
     sums = rng.Moments()
-    for _, counts in _paths(cfg, paths, seed, x, [y], alpha=alpha):
+    for _, counts in _paths(cfg, paths, x, [y], alpha=alpha):
         sums.add(w * counts[0][0])
     mean, se = sums.mean_se()
     exact = u_alpha(cfg.line_model(), alpha, x - y) / alpha
@@ -245,7 +240,7 @@ class CorollaryResult:
 
 
 def corollary_test(cfg: PathConfig, alpha: float, a: float, b: float,
-                   t: float, paths: int, seed: int | None = None,
+                   t: float, paths: int,
                    min_bin_count: int = 500) -> CorollaryResult:
     """Conditional comparison of L^a - L^b at an exponential time.
 
@@ -273,7 +268,7 @@ def corollary_test(cfg: PathConfig, alpha: float, a: float, b: float,
         raise ValueError("alpha and t must be > 0")
     w = cfg.box_weight
     bins = {True: rng.Moments(), False: rng.Moments()}
-    for s_time, counts in _paths(cfg, paths, seed, a, [a, b], alpha=alpha):
+    for s_time, counts in _paths(cfg, paths, a, [a, b], alpha=alpha):
         bins[s_time >= t].add(w * (counts[0][0] - counts[1][0]))
     n_long, n_short = bins[True].n, bins[False].n
     if n_long < max(1, min_bin_count) or n_short < max(1, min_bin_count):
@@ -315,16 +310,16 @@ class DiscountedSplitResult:
 
 
 def discounted_split_check(cfg: PathConfig, alpha: float, a: float, b: float,
-                           t: float, paths: int,
-                           seed: int | None = None) -> DiscountedSplitResult:
-    """Monte Carlo check of the pre/post-t discounted local-time estimate."""
+                           t: float, paths: int) -> DiscountedSplitResult:
+    """Monte Carlo check of the pre/post-t discounted local-time estimate;
+    every path starts at a."""
     if not (alpha > 0 and t > 0):
         raise ValueError("alpha and t must be > 0")
     w = cfg.box_weight
     ct = math.exp(-alpha * t) / (-math.expm1(-alpha * t))
     k_t = int(math.ceil(t / cfg.dt))
     sums = rng.Moments()
-    for _, counts in _paths(cfg, paths, seed, a, [a, b], stops=(k_t, None),
+    for _, counts in _paths(cfg, paths, a, [a, b], stops=(k_t, None),
                             alpha=alpha):
         (pre_a, all_a), (pre_b, all_b) = counts
         pre = w * (pre_a - pre_b)
@@ -335,9 +330,8 @@ def discounted_split_check(cfg: PathConfig, alpha: float, a: float, b: float,
                                  float(margin), float(margin_se), paths)
 
 
-def mean_local_times(cfg: PathConfig, levels, times, paths: int,
-                     seed: int | None = None):
-    """Ensemble means of Lhat at several levels and horizons.
+def mean_local_times(cfg: PathConfig, x0: float, levels, times, paths: int):
+    """Ensemble means of Lhat at several levels and horizons, from x0.
 
     Returns (means, stderrs) with shape (len(times), len(levels)); all paths
     run to max(times) and the estimates at earlier horizons reuse the same
@@ -353,7 +347,7 @@ def mean_local_times(cfg: PathConfig, levels, times, paths: int,
         raise ValueError("times must be integer multiples of dt")
     w = cfg.box_weight
     sums = rng.Moments()
-    for _, counts in _paths(cfg, paths, seed, cfg.x0, levels, stops=steps,
+    for _, counts in _paths(cfg, paths, x0, levels, stops=steps,
                             n_steps=max(steps)):
         sums.add(w * np.array(counts).T)
     return sums.mean_se()

@@ -200,20 +200,34 @@ def integral_to_infinity(f: Callable, start: float = 0.0,
                        first_edge, 2.0, octaves, rel_tol, context)
 
 
-def _averaged_tail(partials: list[float]) -> tuple[float, float]:
-    """Repeated pairwise averaging of alternating partial sums.
+def _averaged_tail(row: np.ndarray):
+    """Repeated pairwise averaging of alternating partial sums along the
+    last axis of ``row`` (at least two of them).
 
     Returns the accelerated limit and the magnitude of the last averaging
     update, which bounds the acceleration error for alternating series with
     slowly varying terms.
     """
-    row = list(partials)
-    delta = abs(row[-1] - row[0]) if len(row) > 1 else abs(row[0])
-    while len(row) > 1:
-        nxt = [0.5 * (row[i] + row[i + 1]) for i in range(len(row) - 1)]
-        delta = abs(nxt[-1] - row[-1])
+    while row.shape[-1] > 1:
+        nxt = 0.5 * (row[..., :-1] + row[..., 1:])
+        delta = np.abs(nxt[..., -1] - row[..., -1])
         row = nxt
-    return row[0], delta
+    return row[..., 0], delta
+
+
+def _averaged_limit(partials: np.ndarray, k: int):
+    """The limit of alternating partial sums and its error bound, along the
+    last axis of ``partials``, whose last entry is the sum of k panels.
+
+    The limit averages the last ``OSC_WINDOW`` sums; the bound is four
+    times its last averaging update plus the drift from the same average
+    taken ``OSC_LAG`` panels earlier, scaled by k/OSC_LAG, which
+    extrapolates the residual bias of the sliding-window average.
+    """
+    value, acc_err = _averaged_tail(partials[..., -OSC_WINDOW:])
+    value_mid, _ = _averaged_tail(
+        partials[..., -OSC_WINDOW - OSC_LAG:-OSC_LAG])
+    return value, 4.0 * acc_err + np.abs(value - value_mid) * (k / OSC_LAG)
 
 
 def cosine_transform(env: Callable, r: float, rel_tol: float = 1e-9,
@@ -241,8 +255,6 @@ def cosine_transform(env: Callable, r: float, rel_tol: float = 1e-9,
     head_panels = 8
     total = adaptive(lambda x: np.cos(x * r) * env(x), 0.0, head_panels * h,
                      rel_tol=min(rel_tol, 1e-10))
-    min_tail = 32  # panels beyond the head before acceleration may stop
-    partials: list[float] = []
     scale = max(abs_tol, abs(total))
     k = head_panels
     block = 2 * OSC_LAG
@@ -252,30 +264,20 @@ def cosine_transform(env: Callable, r: float, rel_tol: float = 1e-9,
         pts = lows[:, None] + h * mids_unit[None, :]
         vals = np.cos(pts * r) * env(pts)
         terms = 0.5 * h * (vals @ _GL_WEIGHTS)
-        value_mid = None
-        for j, term in enumerate(terms):
-            total += float(term)
-            partials.append(total)
-            if len(partials) > OSC_WINDOW:
-                partials.pop(0)
-            if j == OSC_LAG - 1 and len(partials) == OSC_WINDOW:
-                value_mid, _ = _averaged_tail(partials)
+        # sequential sums, as a running total would add them; a block
+        # holds both averaging windows
+        partials = np.add.accumulate([total, *terms])
+        total = float(partials[-1])
         k += block
         scale = max(scale, abs(total))
         last = abs(float(terms[-1]))
         tol = max(rel_tol * scale, abs_tol)
-        if len(partials) == OSC_WINDOW and k - head_panels >= min_tail:
-            if last <= tol:
-                # plain alternating-series remainder bound
-                return total, last
-            value, acc_err = _averaged_tail(partials)
-            if value_mid is not None:
-                # the half-block drift of the accelerated value extrapolates
-                # the residual bias of the sliding-window average
-                drift = abs(value - value_mid) * (k / OSC_LAG)
-                bound = 4.0 * acc_err + drift
-                if bound <= tol:
-                    return value, bound
+        if last <= tol:
+            # plain alternating-series remainder bound
+            return total, last
+        value, bound = _averaged_limit(partials, k)
+        if bound <= tol:
+            return float(value), float(bound)
         # A growing envelope can never satisfy the bound; detect it early
         # via the panel magnitudes across the block.
         if last > 0.0:

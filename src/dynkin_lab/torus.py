@@ -55,9 +55,9 @@ class TorusConfig:
 
 @dataclass(frozen=True)
 class TorusState:
-    """Mode state at one time; negative modes are conj of positive ones."""
+    """Mode state after step_index steps, at time step_index dt; negative
+    modes are conj of positive ones."""
 
-    time: float
     modes: np.ndarray      # complex amplitudes for n = 0..half
     seed: int
     path: int
@@ -70,8 +70,7 @@ class TorusState:
 
 
 def initial_state(cfg: TorusConfig, seed: int, path: int = 0) -> TorusState:
-    return TorusState(0.0, np.zeros(cfg.half + 1, dtype=complex), seed,
-                      path, 0)
+    return TorusState(np.zeros(cfg.half + 1, dtype=complex), seed, path, 0)
 
 
 def _rates(cfg: TorusConfig, model: LevyModel) -> np.ndarray:
@@ -114,8 +113,8 @@ class StepOperator:
         z *= self.noise_scale
         modes = self.decay * state.modes
         modes += z.view(np.complex128)
-        return TorusState(state.time + cfg.dt, modes, state.seed,
-                          state.path, state.step_index + 1)
+        return TorusState(modes, state.seed, state.path,
+                          state.step_index + 1)
 
 
 def _paths(op: StepOperator, seed: int, paths: int, stops):

@@ -375,7 +375,7 @@ def check_heat_cable_modes(model, seed, scale, tol_scale):
 
 # ------------------------------------------------------------ localtime ---
 
-# the walk of every local-time check; the checks pass their own seeds
+# the walk of every local-time check; each check sets its own seed on it
 _LT_WALK = localtime.PathConfig(1.5, 0.5, 1e-3)
 
 
@@ -384,9 +384,9 @@ def check_lt_additivity(model, seed, scale, tol_scale):
     gen = rng.stream(seed, rng.DOMAIN_PATH, 0)
     pos = localtime.simulate_path(cfg, 4000, gen)
     eps = cfg.bandwidth
-    whole = localtime.local_time(pos, cfg.dt, 0.1, eps).value
-    first = localtime.local_time(pos[:2001], cfg.dt, 0.1, eps).value
-    second = localtime.local_time(pos[2000:], cfg.dt, 0.1, eps).value
+    whole = localtime.local_time(pos, cfg.dt, 0.1, eps)
+    first = localtime.local_time(pos[:2001], cfg.dt, 0.1, eps)
+    second = localtime.local_time(pos[2000:], cfg.dt, 0.1, eps)
     # the box counts split exactly; the scaled values agree to rounding
     counts = [int(np.count_nonzero(localtime._hits(seg, 0.1, eps)))
               for seg in (pos[:-1], pos[:2000], pos[2000:-1])]
@@ -400,12 +400,10 @@ def check_lt_domination(model, seed, scale, tol_scale):
     paths = max(1000, int(4000 * scale))
     y, x = 0.0, 0.5
     times = [1.0, 2.0, 4.0]
-    from_x = replace(_LT_WALK, x0=x)
-    from_y = replace(_LT_WALK, x0=y)
-    mx, sx = localtime.mean_local_times(from_x, [y], times, paths,
-                                        seed=seed)
-    my, sy = localtime.mean_local_times(from_y, [y], times, paths,
-                                        seed=seed + 1)
+    mx, sx = localtime.mean_local_times(replace(_LT_WALK, seed=seed), x,
+                                        [y], times, paths)
+    my, sy = localtime.mean_local_times(replace(_LT_WALK, seed=seed + 1), y,
+                                        [y], times, paths)
     worst = math.inf
     for ti, t in enumerate(times):
         se = math.hypot(sx[ti, 0], sy[ti, 0])
@@ -419,8 +417,8 @@ def check_lt_domination(model, seed, scale, tol_scale):
 
 def check_lt_discounted_split(model, seed, scale, tol_scale):
     paths = max(2000, int(10000 * scale))
-    res = localtime.discounted_split_check(_LT_WALK, 1.0, 0.0, 1.0,
-                                           math.log(2.0), paths, seed=seed)
+    res = localtime.discounted_split_check(replace(_LT_WALK, seed=seed), 1.0,
+                                           0.0, 1.0, math.log(2.0), paths)
     return CheckResult("localtime", "discounted-split-inequality",
                        res.verdict and res.margin > 0,
                        f"margin {res.margin:.4e} (se {res.margin_se:.1e})")

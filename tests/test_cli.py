@@ -196,6 +196,9 @@ def test_cli_verify_suite_kernels(tmp_path, capsys):
 
 _BROWNIAN = {"kind": "brownian", "kappa": 1.0}
 _STABLE = {"kind": "stable", "beta": 1.5, "c": 1.0}
+# the batched jump exponents and a khintchine cosine transform
+_KHINTCHINE = {"kind": "khintchine", "sigma2": 0, "nu": {
+    "family": "power_law", "coeff": 1, "beta": 1.2}}
 # small runs of every subcommand; integer-valued entries pin, column by
 # column, whether a config's 2 is written as 2 or as 2.0
 _OUTPUT_CASES = {
@@ -204,6 +207,8 @@ _OUTPUT_CASES = {
         "points_per_decade": 4}}),
     "kernel": ("kernel", _BROWNIAN, {"kernel": {
         "alphas": [2, 0.5], "ts": [1], "rs": [0, 1.5]}}),
+    "kernel-khintchine": ("kernel", _KHINTCHINE, {"kernel": {
+        "alphas": [1], "ts": [0.5], "rs": [0, 0.5, 2]}}),
     "synth": ("synth", _BROWNIAN, {"synth": {
         "alpha": 2, "t": 1, "grid": {"cutoff": 64, "modes": 256},
         "x_points": 8, "replications": 20, "lags": [0, 1, 0.5]}}),
@@ -241,6 +246,12 @@ _OUTPUT_DIGESTS = {
         "3c2cd45f160e67fd049ac84ba46ab00896f29e0d19716bd3fc71d728339b5788",
     ("kernel", "variances.csv"):
         "c68fe3238353a936ab36089c1258717cd25f67da1de0e1860a119f2118f64f2f",
+    ("kernel-khintchine", "kernel_summary.txt"):
+        "0c0a397a5c9b43efabc3face467c88646fcf78b13969928f64c77a5c7895d733",
+    ("kernel-khintchine", "kernels.csv"):
+        "91e717367a2966c00028a652cee8cc24003e4eaf490d07fd43782601c51f2712",
+    ("kernel-khintchine", "variances.csv"):
+        "1ec9485a9b1d1319136563c8d0c43da3f44fe28d5301e6f823caef28be87e9c1",
     ("synth", "ensemble_stats.csv"):
         "64bdd35a0dcae913923bec532dbed30c528b048089f46900fb9f68698f775445",
     ("synth", "field_S.csv"):

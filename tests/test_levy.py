@@ -36,6 +36,7 @@ _NAN = math.nan
 _BROWNIAN = LevyModel.brownian(1.0)
 _GRID = SpectralGrid(64.0, 128)
 _PATH = PathConfig(2.0, 1.0, 1e-3)
+_KHIN = LevyModel.khintchine(0.0, LevyMeasure.power_law(1.0, 1.2))
 
 
 @pytest.mark.parametrize("build, message", [
@@ -80,9 +81,9 @@ _PATH = PathConfig(2.0, 1.0, 1e-3)
      "alpha and t must be > 0"),
     (lambda: discounted_split_check(_PATH, 1.0, 0.0, 1.0, _NAN, 10),
      "alpha and t must be > 0"),
-    (lambda: mean_local_times(_PATH, [0.0], [_NAN], 10),
+    (lambda: mean_local_times(_PATH, 0.0, [0.0], [_NAN], 10),
      "horizons must be > 0"),
-    (lambda: mean_local_times(_PATH, [0.0], [0.1, _NAN], 10),
+    (lambda: mean_local_times(_PATH, 0.0, [0.0], [0.1, _NAN], 10),
      "horizons must be > 0"),
     (lambda: run_moments(TorusConfig(16.0, 33, 1.0, 0.1), _BROWNIAN, _NAN,
                          10, [0.0]), "t_end must be > 0"),
@@ -96,6 +97,11 @@ _PATH = PathConfig(2.0, 1.0, 1e-3)
      "support must satisfy"),
     (lambda: LevyMeasure.power_law(1.0, 1.5, z_max=_NAN),
      "support must satisfy"),
+    # before the guard, quadrature ran for seconds on these and then
+    # raised NonConvergenceError
+    (lambda: re_psi(_KHIN, _NAN), "xi must be finite"),
+    (lambda: re_psi(_KHIN, math.inf), "xi must be finite"),
+    (lambda: re_psi(_KHIN, np.array([1.0, -math.inf])), "xi must be finite"),
 ], ids=["brownian-kappa", "stable-c", "khintchine-sigma2", "path-c",
         "path-dt", "path-eps", "torus-circumference", "torus-alpha",
         "torus-dt", "grid-cutoff", "query-alpha", "query-t",
@@ -105,7 +111,8 @@ _PATH = PathConfig(2.0, 1.0, 1e-3)
         "corollary-alpha", "corollary-t", "split-alpha", "split-t",
         "horizon", "later-horizon", "torus-t-end", "condition-alpha",
         "feller-eps", "averaged-xi", "power-law-coeff", "support-z-min",
-        "support-z-max"])
+        "support-z-max", "khintchine-xi-nan", "khintchine-xi-inf",
+        "khintchine-xi-minus-inf"])
 def test_guards_reject_nan(build, message):
     # a guard written x <= 0 is false for NaN and let it through
     with pytest.raises(ValueError, match=message):

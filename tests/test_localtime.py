@@ -58,8 +58,8 @@ def test_increment_validation():
 def test_local_time_degenerate_path():
     pos = np.zeros(101)
     est = local_time(pos, 0.01, 0.0, 0.05)
-    assert est.value == pytest.approx(100 * 0.01 / (2 * 0.05))
-    assert local_time(pos, 0.01, 40.0, 0.05).value == 0.0
+    assert est == pytest.approx(100 * 0.01 / (2 * 0.05))
+    assert local_time(pos, 0.01, 40.0, 0.05) == 0.0
 
 
 def test_local_time_bandwidth_guards():
@@ -82,8 +82,8 @@ def test_local_time_additivity_exact():
 def test_resolvent_check_brownian():
     # symmetrised Brownian walk, alpha = 2: discounted resolvent
     # = u_2(0)/2 = 0.125; 20k paths keeps this a few-second test
-    cfg = PathConfig(2.0, 1.0, 1e-4, eps=0.02, seed=0)
-    res = resolvent_check(cfg, 2.0, 0.0, 0.0, paths=20_000, seed=101)
+    cfg = PathConfig(2.0, 1.0, 1e-4, eps=0.02, seed=101)
+    res = resolvent_check(cfg, 2.0, 0.0, 0.0, paths=20_000)
     assert res.exact == pytest.approx(0.125, abs=1e-6)
     assert abs(res.estimate - res.exact) <= 3 * res.stderr + 0.02 * res.exact
     assert res.mean_at_exponential_time == pytest.approx(2 * res.estimate)
@@ -92,32 +92,32 @@ def test_resolvent_check_brownian():
 def test_resolvent_check_stable():
     # beta=1.5, c=1/2 walk (symmetrised exponent |xi|^1.5) against the line
     # kernel, 1e5 paths; documented eps/dt bias is ~0.6% for these values
-    cfg = PathConfig(1.5, 0.5, 2.5e-4, eps=0.003, seed=0)
-    res = resolvent_check(cfg, 1.0, 0.0, 0.0, paths=100_000, seed=55)
+    cfg = PathConfig(1.5, 0.5, 2.5e-4, eps=0.003, seed=55)
+    res = resolvent_check(cfg, 1.0, 0.0, 0.0, paths=100_000)
     exact = u_alpha(LevyModel.stable(1.5, 0.5), 1.0, 0.0)
     assert res.exact == pytest.approx(exact, rel=1e-8)
     assert abs(res.estimate - res.exact) <= 0.05 * res.exact
 
 
 def test_resolvent_distance_decay():
-    cfg = PathConfig(2.0, 1.0, 2e-4, eps=0.03, seed=0)
-    near = resolvent_check(cfg, 2.0, 0.0, 0.0, paths=4000, seed=7)
-    far = resolvent_check(cfg, 2.0, 0.0, 3.0, paths=4000, seed=7)
+    cfg = PathConfig(2.0, 1.0, 2e-4, eps=0.03, seed=7)
+    near = resolvent_check(cfg, 2.0, 0.0, 0.0, paths=4000)
+    far = resolvent_check(cfg, 2.0, 0.0, 3.0, paths=4000)
     assert far.estimate < 0.2 * near.estimate
     assert far.exact == pytest.approx(math.exp(-3.0) / 4.0 / 2.0, rel=1e-6)
 
 
 def test_resolvent_monotone_in_alpha():
-    cfg = PathConfig(2.0, 1.0, 2e-4, eps=0.03, seed=0)
-    lo = resolvent_check(cfg, 1.0, 0.0, 0.0, paths=4000, seed=9)
-    hi = resolvent_check(cfg, 4.0, 0.0, 0.0, paths=4000, seed=9)
+    cfg = PathConfig(2.0, 1.0, 2e-4, eps=0.03, seed=9)
+    lo = resolvent_check(cfg, 1.0, 0.0, 0.0, paths=4000)
+    hi = resolvent_check(cfg, 4.0, 0.0, 0.0, paths=4000)
     assert lo.mean_at_exponential_time > hi.mean_at_exponential_time
 
 
 def test_corollary_same_level_degenerate():
-    cfg = PathConfig(1.5, 0.5, 1e-3, seed=0)
+    cfg = PathConfig(1.5, 0.5, 1e-3, seed=3)
     res = corollary_test(cfg, 1.0, 0.3, 0.3, math.log(2.0), paths=2000,
-                         seed=3, min_bin_count=100)
+                         min_bin_count=100)
     assert res.lhs == 0.0 and res.rhs == 0.0
     assert res.verdict
 
@@ -132,16 +132,16 @@ def test_corollary_verdict_orders_short_clock_below_long():
 
 
 def test_corollary_occupancy_error():
-    cfg = PathConfig(1.5, 0.5, 1e-3, seed=0)
+    cfg = PathConfig(1.5, 0.5, 1e-3, seed=4)
     with pytest.raises(OccupancyError, match="increase paths"):
-        corollary_test(cfg, 1.0, 0.0, 1.0, 20.0, paths=1000, seed=4)
+        corollary_test(cfg, 1.0, 0.0, 1.0, 20.0, paths=1000)
 
 
 def test_corollary_vanishing_conditioning():
     # t -> 0: conditioning on {S >= t} disappears, so the long-clock mean
     # approaches the unconditional one
-    cfg = PathConfig(1.5, 0.5, 1e-3, seed=0)
-    res = corollary_test(cfg, 1.0, 0.0, 1.0, 1e-3, paths=20_000, seed=5,
+    cfg = PathConfig(1.5, 0.5, 1e-3, seed=5)
+    res = corollary_test(cfg, 1.0, 0.0, 1.0, 1e-3, paths=20_000,
                          min_bin_count=1)
     total = (res.lhs * res.n_long + res.rhs * res.n_short) \
         / (res.n_long + res.n_short)
@@ -166,15 +166,15 @@ def test_hitting_domination_and_linear_growth():
 def test_occupation_pass_matches_the_standalone_estimator():
     # the shared pass counts, bit for bit, what local_time counts on the
     # positions of each path's own stream
-    cfg = PathConfig(1.5, 0.5, 1e-3, x0=0.2)
+    cfg = PathConfig(1.5, 0.5, 1e-3, seed=31)
     levels, times = [0.0, 0.2, 0.4], [0.25, 0.5]
-    means, _ = mean_local_times(cfg, levels, times, paths=2, seed=31)
-    paths = [simulate_path(cfg, 500, rng.stream(31, rng.DOMAIN_PATH, p))
+    means, _ = mean_local_times(cfg, 0.2, levels, times, paths=2)
+    paths = [simulate_path(cfg, 500, rng.stream(31, rng.DOMAIN_PATH, p), 0.2)
              for p in range(2)]
     for ti, t in enumerate(times):
         n = int(round(t / cfg.dt))
         for li, y in enumerate(levels):
-            vals = [local_time(pos[:n + 1], cfg.dt, y, cfg.bandwidth).value
+            vals = [local_time(pos[:n + 1], cfg.dt, y, cfg.bandwidth)
                     for pos in paths]
             assert means[ti, li] == sum(vals) / len(vals)
     assert means[-1].min() > 0.0   # every level is visited
@@ -183,9 +183,9 @@ def test_occupation_pass_matches_the_standalone_estimator():
 def test_mean_local_times_rows_follow_the_given_horizons():
     # rows come in the order of ``times``, bit for bit those of the sorted
     # call reversed
-    cfg = PathConfig(1.5, 0.5, 1e-3, x0=0.2)
-    up = mean_local_times(cfg, [0.0, 0.3], [0.25, 0.5, 1.0], 20, seed=14)
-    down = mean_local_times(cfg, [0.0, 0.3], [1.0, 0.5, 0.25], 20, seed=14)
+    cfg = PathConfig(1.5, 0.5, 1e-3, seed=14)
+    up = mean_local_times(cfg, 0.2, [0.0, 0.3], [0.25, 0.5, 1.0], 20)
+    down = mean_local_times(cfg, 0.2, [0.0, 0.3], [1.0, 0.5, 0.25], 20)
     for a, b in zip(up, down):
         assert a[::-1].tolist() == b.tolist()
     assert not np.array_equal(up[0][0], up[0][-1])
@@ -194,18 +194,18 @@ def test_mean_local_times_rows_follow_the_given_horizons():
 def test_mean_local_times_validation():
     cfg = PathConfig(1.5, 0.5, 1e-3, seed=0)
     with pytest.raises(ValueError):
-        mean_local_times(cfg, [0.0], [], 10)
+        mean_local_times(cfg, 0.0, [0.0], [], 10)
     with pytest.raises(ValueError):
-        mean_local_times(cfg, [0.0], [0.00033], 10)
+        mean_local_times(cfg, 0.0, [0.0], [0.00033], 10)
 
 
 def test_mean_local_times_rejects_zero_horizon():
     # a zero horizon would read cum[-1], the last horizon's count
-    cfg = PathConfig(1.5, 0.5, 1e-3, seed=0)
+    cfg = PathConfig(1.5, 0.5, 1e-3, seed=3)
     with pytest.raises(ValueError, match="horizons must be > 0"):
-        mean_local_times(cfg, [0.0], [0.0, 1.0], 200, seed=3)
+        mean_local_times(cfg, 0.0, [0.0], [0.0, 1.0], 200)
     with pytest.raises(ValueError, match="horizons must be > 0"):
-        mean_local_times(cfg, [0.0], [0.0], 200, seed=3)
+        mean_local_times(cfg, 0.0, [0.0], [0.0], 200)
 
 
 @pytest.mark.parametrize("paths", [0, 1])
@@ -214,7 +214,7 @@ def test_mean_local_times_rejects_zero_horizon():
     lambda cfg, n: corollary_test(cfg, 1.0, 0.0, 1.0, 0.5, n,
                                   min_bin_count=1),
     lambda cfg, n: discounted_split_check(cfg, 1.0, 0.0, 1.0, 0.5, n),
-    lambda cfg, n: mean_local_times(cfg, [0.0], [0.5], n),
+    lambda cfg, n: mean_local_times(cfg, 0.0, [0.0], [0.5], n),
 ], ids=["resolvent", "corollary", "discounted_split", "mean_local_times"])
 def test_estimators_need_two_paths(estimator, paths):
     cfg = PathConfig(1.5, 0.5, 1e-3, seed=0)
@@ -226,27 +226,27 @@ def test_path_stream_contract():
     # Exact outputs at small path counts: path p's positions are a pure
     # function of (seed, DOMAIN_PATH, p), so a rewrite of the path loop
     # (batched or not) must reproduce every one of these numbers exactly.
-    cfg = PathConfig(1.5, 0.5, 1e-3, seed=0)
-    res = resolvent_check(cfg, 1.5, 0.0, 0.1, paths=200, seed=11)
+    res = resolvent_check(PathConfig(1.5, 0.5, 1e-3, seed=11), 1.5, 0.0,
+                          0.1, paths=200)
     assert (res.estimate, res.exact, res.stderr, res.paths, res.eps,
             res.dt) == (0.2664999999999999, 0.2848394110643933,
                         0.02421030255903466, 200, 0.010000000000000002,
                         0.001)
     # the sample mean of Lhat(S); estimate * alpha is within one ulp of it
     assert res.mean_at_exponential_time == 0.3997499999999999
-    cor = corollary_test(cfg, 1.0, 0.0, 0.5, math.log(2.0), paths=200,
-                         seed=12, min_bin_count=50)
+    cor = corollary_test(PathConfig(1.5, 0.5, 1e-3, seed=12), 1.0, 0.0,
+                         0.5, math.log(2.0), paths=200, min_bin_count=50)
     assert (cor.lhs, cor.rhs, cor.lhs_se, cor.rhs_se, cor.n_long,
             cor.n_short, cor.verdict) == (
         0.595959595959596, 0.444059405940594, 0.099333758490237,
         0.0518517372039735, 99, 101, True)
-    split = discounted_split_check(cfg, 1.0, 0.0, 0.5, math.log(2.0),
-                                   paths=200, seed=13)
+    split = discounted_split_check(PathConfig(1.5, 0.5, 1e-3, seed=13), 1.0,
+                                   0.0, 0.5, math.log(2.0), paths=200)
     assert (split.lhs, split.rhs, split.margin, split.margin_se,
             split.paths) == (-0.020749999999999994, 0.45224999999999965,
                              0.4729999999999999, 0.043404838439971165, 200)
-    means, ses = mean_local_times(PathConfig(1.5, 0.5, 1e-3, x0=0.2),
-                                  [0.0, 0.3], [0.5, 1.0], 200, seed=14)
+    means, ses = mean_local_times(PathConfig(1.5, 0.5, 1e-3, seed=14), 0.2,
+                                  [0.0, 0.3], [0.5, 1.0], 200)
     assert means.tolist() == [[0.359, 0.4507499999999999],
                               [0.49950000000000006, 0.6187499999999997]]
     assert ses.tolist() == [[0.03392594877081553, 0.03542152858785177],
@@ -257,14 +257,15 @@ def test_path_stream_contract_beta_two():
     # Exact outputs at beta = 2, recorded with the general CMS transform.
     # The closed form 2 sin V sqrt(W) moves a position by at most a few
     # ulps, which must not move a hit count of either estimator.
-    cfg = PathConfig(2.0, 1.0, 1e-3, seed=0)
-    res = resolvent_check(cfg, 2.0, 0.0, 0.5, paths=200, seed=21)
+    res = resolvent_check(PathConfig(2.0, 1.0, 1e-3, seed=21), 2.0, 0.0,
+                          0.5, paths=200)
     assert (res.estimate, res.exact, res.stderr, res.paths, res.eps,
             res.dt, res.mean_at_exponential_time) == (
         0.06877953910866229, 0.07581633246407916, 0.0064817050226001465,
         200, 0.03162277660168379, 0.001, 0.13755907821732458)
-    cor = corollary_test(cfg, 2.0, 0.0, 0.5, math.log(2.0) / 2.0,
-                         paths=200, seed=22, min_bin_count=50)
+    cor = corollary_test(PathConfig(2.0, 1.0, 1e-3, seed=22), 2.0, 0.0,
+                         0.5, math.log(2.0) / 2.0, paths=200,
+                         min_bin_count=50)
     assert (cor.lhs, cor.rhs, cor.lhs_se, cor.rhs_se, cor.n_long,
             cor.n_short, cor.verdict) == (
         0.1225382593315247, 0.07715957490810847, 0.03412358055655942,
@@ -275,10 +276,10 @@ def test_path_bandwidth_guard_does_not_depend_on_the_seed():
     # the guard once read the first path's median step; under an
     # exponential clock that path can be a few steps long, and this config
     # raised BandwidthError for 0, 2 and 13 of these 100 seeds
-    cfg = PathConfig(1.5, 0.5, 1e-3)
     for alpha in (1.0, 20.0, 200.0):
         for s in range(100):
-            resolvent_check(cfg, alpha, 0.0, 0.0, paths=2, seed=s)
+            resolvent_check(PathConfig(1.5, 0.5, 1e-3, seed=s), alpha, 0.0,
+                            0.0, paths=2)
 
 
 def test_path_bandwidth_guard_reads_the_law():
@@ -289,14 +290,13 @@ def test_path_bandwidth_guard_reads_the_law():
         m = (2.0 * c * 1e-3) ** (1.0 / beta)
         for eps, match in ((2.5 * m, "over-smoothing"),
                            (m / 8.0, "step resolution")):
-            cfg = PathConfig(beta, c, 1e-3, eps=eps)
             for s in range(5):
+                cfg = PathConfig(beta, c, 1e-3, eps=eps, seed=s)
                 with pytest.raises(BandwidthError, match=match):
-                    resolvent_check(cfg, 20.0, 0.0, 0.0, paths=2, seed=s)
+                    resolvent_check(cfg, 20.0, 0.0, 0.0, paths=2)
                 with pytest.raises(BandwidthError, match=match):
-                    corollary_test(cfg, 20.0, 0.0, 0.5, 0.05, paths=2,
-                                   seed=s)
+                    corollary_test(cfg, 20.0, 0.0, 0.5, 0.05, paths=2)
                 with pytest.raises(BandwidthError, match=match):
-                    mean_local_times(cfg, [0.0], [0.01], paths=2, seed=s)
+                    mean_local_times(cfg, 0.0, [0.0], [0.01], paths=2)
         resolvent_check(PathConfig(beta, c, 1e-3, eps=m), 20.0, 0.0, 0.0,
-                        paths=2, seed=0)
+                        paths=2)

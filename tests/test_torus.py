@@ -38,7 +38,7 @@ def test_snapshot_mode_injection_cosine():
     cfg = TorusConfig(16.0, 33, 0.0, 0.1)
     modes = np.zeros(cfg.half + 1, dtype=complex)
     modes[1] = 1.0
-    st = TorusState(0.0, modes, 0, 0, 0)
+    st = TorusState(modes, 0, 0, 0)
     xs = np.array([0.0, 4.0, 8.0, 12.0])
     vals = snapshot(st, cfg, xs)
     assert vals == pytest.approx(2 * np.cos(2 * np.pi * xs / 16.0),
@@ -73,7 +73,6 @@ def test_step_is_pure_and_reproducible():
     a = StepOperator(cfg, BROWNIAN).apply(st)
     b = StepOperator(cfg, BROWNIAN).apply(st)
     assert np.array_equal(a.modes, b.modes)
-    assert a.time == pytest.approx(0.1)
     assert a.step_index == 1
 
 
