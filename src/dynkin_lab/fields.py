@@ -31,7 +31,6 @@ bit-identical for any worker count.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,13 +160,6 @@ def _mode_normals(seed, replicate, component, n_modes, out=None):
     # with out= the row is filled in place, and the fill releases the GIL
     return rng._reopen(seed, rng.DOMAIN_FIELD, replicate,
                        component).standard_normal(n_modes, out=out)
-
-
-def _workers() -> int:
-    """Threads that fill amplitude rows: the cores this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _derivative_order(n) -> int:
@@ -312,7 +304,7 @@ def ensemble_values(model: LevyModel, kind: str, alpha: float | None,
     k = grid.n_modes
     a = np.empty((min(batch, replicates), k))
     b = np.empty_like(a)
-    workers = _workers()
+    workers = rng.workers()
 
     def fill(rows, lo, ca, cb):
         for r in rows:

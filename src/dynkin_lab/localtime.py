@@ -157,7 +157,9 @@ def _paths(cfg: PathConfig, paths: int, x0: float, levels, stops=(None,),
            alpha: float | None = None, n_steps: int = 0):
     """The occupation pass every estimator shares; yields (S, counts).
 
-    Path p starts at x0 and owns the stream (cfg.seed, DOMAIN_PATH, p).  With
+    Path p starts at x0 and owns the stream (cfg.seed, DOMAIN_PATH, p); the
+    paths run through ``rng._in_order``, so a long run is split over worker
+    processes and still yields path 0, 1, ... in order.  With
     alpha given, that stream first draws the exponential clock S(alpha)
     and the path runs ceil(S/dt) >= 1 steps; otherwise it runs n_steps and
     S is None.  counts[i][j] is the number of the first stops[j] left
@@ -176,15 +178,20 @@ def _paths(cfg: PathConfig, paths: int, x0: float, levels, stops=(None,),
     eps = cfg.bandwidth
     _check_bandwidth(eps, (2.0 * cfg.c * cfg.dt) ** (1.0 / cfg.beta))
     levels = list(levels)
-    for p in range(paths):
-        gen = rng._reopen(cfg.seed, rng.DOMAIN_PATH, p)
-        s_time, n = None, n_steps
-        if alpha is not None:
-            s_time = gen.standard_exponential() / alpha
-            n = max(1, int(math.ceil(s_time / cfg.dt)))
-        body = simulate_path(cfg, n, gen, x0)[:-1]
-        yield s_time, [[int(np.count_nonzero(hit[:stop])) for stop in stops]
-                       for hit in [_hits(body, y, eps) for y in levels]]
+
+    def task(lo, hi):
+        for p in range(lo, hi):
+            gen = rng._reopen(cfg.seed, rng.DOMAIN_PATH, p)
+            s_time, n = None, n_steps
+            if alpha is not None:
+                s_time = gen.standard_exponential() / alpha
+                n = max(1, int(math.ceil(s_time / cfg.dt)))
+            body = simulate_path(cfg, n, gen, x0)[:-1]
+            yield s_time, [[int(np.count_nonzero(hit[:stop]))
+                            for stop in stops]
+                           for hit in [_hits(body, y, eps) for y in levels]]
+
+    return rng._in_order(task, paths)
 
 
 @dataclass(frozen=True)

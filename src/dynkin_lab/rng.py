@@ -8,7 +8,8 @@ within a stream are indexed by their draw position (mode index, step index,
 ...), which the calling modules document per use.
 
 Because the stream is a pure function of its address, replication-parallel
-sampling is reproducible regardless of batching or thread scheduling.
+sampling is reproducible regardless of batching, thread scheduling or the
+processes the work is split over.
 
 ``stream`` returns a fresh Generator that the caller may hold as long as it
 likes.  Building one costs more than a short stream's draws, so the three
@@ -22,11 +23,18 @@ never hand its Generator to code that might open another.
 
 ``Moments`` is the one Monte Carlo accumulator: count, elementwise sum and
 sum of squares (and optionally outer products) of the values added.
+
+``workers`` is the one core count: the ensemble fill's threads and the path
+pool's processes.  The private ``_in_order`` runs a per-path loop over
+contiguous chunks in forked worker processes and yields the items in path
+order, so an accumulator fed from it adds the same values in the same order
+as the serial loop.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import threading
 
 import numpy as np
@@ -65,6 +73,68 @@ def _reopen(seed: int, domain: int, replicate: int = 0,
         "buffer": _EMPTY_BUFFER, "buffer_pos": 4, "has_uint32": 0,
         "uinteger": 0}
     return gen
+
+
+def workers() -> int:
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# Runs of fewer items stay serial.  On a 2-core host a fork pool of two
+# workers costs about 10 ms to start, feed and stop, and the two take about
+# 0.6 of the serial time.  The package's path loops take 0.05 ms (a beta = 2
+# walk at dt = 1e-3 and alpha = 2) to 1.4 ms (a 513-mode torus path of 60
+# steps) a path.  At 64 paths the pool costs the first about 10 ms and saves
+# the second about 30 ms; above that the cost stays the start-up while the
+# saving grows with the run.
+POOL_MIN_ITEMS = 64
+# chunks per worker: enough to even out paths of random length, few enough
+# that each result message carries many paths
+_CHUNKS_PER_WORKER = 4
+
+
+def _in_order(task, n: int):
+    """Yield the items of ``task(0, n)`` in order.
+
+    ``task(lo, hi)`` returns an iterable of the items lo..hi-1, each a pure
+    function of its index (its own stream), and picklable.  With at least
+    ``POOL_MIN_ITEMS`` items and two cores, contiguous chunks run in a pool
+    of forked processes, one per core, and the chunks are yielded in index
+    order, so the caller sees exactly the serial sequence.  A fork child
+    inherits the task through the pool's initializer, so closures need no
+    pickling.  Hosts without ``fork``, and daemonic processes (which may
+    not start children), run serially.  The pool ends with the generator:
+    when it is used up or closed, or when a worker's exception reaches the
+    caller.
+    """
+    procs = workers()
+    if n >= POOL_MIN_ITEMS and procs > 1:
+        # imported here: multiprocessing and its pool take ~15 ms to import,
+        # which only pooled runs should pay
+        import multiprocessing
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and not multiprocessing.current_process().daemon):
+            m = procs * _CHUNKS_PER_WORKER
+            bounds = [(n * k // m, n * (k + 1) // m) for k in range(m)]
+            with multiprocessing.get_context("fork").Pool(
+                    procs, _install, (task,)) as pool:
+                for chunk in pool.imap(_run_chunk, bounds):
+                    yield from chunk
+            return
+    yield from task(0, n)
+
+
+def _install(task):
+    # pool initializer, run once in each worker: the task lives on the
+    # worker's own thread state, never on the parent's
+    _local.task = task
+
+
+def _run_chunk(bounds):
+    lo, hi = bounds
+    return list(_local.task(lo, hi))
 
 
 class Moments:

@@ -117,20 +117,26 @@ class StepOperator:
                           state.step_index + 1)
 
 
-def _paths(op: StepOperator, seed: int, paths: int, stops):
+def _paths(op: StepOperator, seed: int, paths: int, stops, reduce):
     """The per-path loop every torus ensemble shares.
 
-    Yields, for each path from the zero state, its states after each step
-    count in the increasing ``stops``; it steps only through ``op.apply``.
+    Yields, for each path from the zero state, ``reduce(state)`` after each
+    step count in the increasing ``stops``; it steps only through
+    ``op.apply``.  The paths run through ``rng._in_order``: a long run is
+    split over worker processes, which send back only the reduced values,
+    and the paths still come in order.
     """
-    for p in range(paths):
-        state = initial_state(op.cfg, seed, path=p)
-        seen = []
-        for stop in stops:
-            for _ in range(stop - state.step_index):
-                state = op.apply(state)
-            seen.append(state)
-        yield seen
+    def task(lo, hi):
+        for p in range(lo, hi):
+            state = initial_state(op.cfg, seed, path=p)
+            seen = []
+            for stop in stops:
+                for _ in range(stop - state.step_index):
+                    state = op.apply(state)
+                seen.append(reduce(state))
+            yield seen
+
+    return rng._in_order(task, paths)
 
 
 def snapshot(state: TorusState, cfg: TorusConfig, x) -> np.ndarray:
@@ -253,9 +259,9 @@ def run_moments(cfg: TorusConfig, model: LevyModel, t_end: float,
     def fast_values(state):
         return 2.0 * (state.modes.real @ cos_b - state.modes.imag @ sin_b)
 
-    for states in _paths(op, seed, paths, stops):
-        for slot, state in zip(slots, states):
-            acc[slot].add(fast_values(state))
+    for values in _paths(op, seed, paths, stops, fast_values):
+        for slot, value in zip(slots, values):
+            acc[slot].add(value)
     rows = []
     var_by_slot = []
     for slot, t in ((0, half_steps * cfg.dt), (1, n_steps * cfg.dt)):

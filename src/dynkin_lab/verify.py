@@ -312,9 +312,10 @@ def check_dt_invariance(model, seed, scale, tol_scale):
     for dt, s in ((0.1, seed + 1), (0.0125, seed)):
         cfg = torus.TorusConfig(16.0, 65, 2.0, dt)
         acc = rng.Moments()   # per path: (sum u, sum u^2) over the probes
-        for (st,) in torus._paths(torus.StepOperator(cfg, model), s, paths,
-                                  (int(round(1.0 / dt)),)):
-            u = torus.snapshot(st, cfg, [0.0, 5.0, 10.0])
+        for (u,) in torus._paths(
+                torus.StepOperator(cfg, model), s, paths,
+                (int(round(1.0 / dt)),),
+                lambda st: torus.snapshot(st, cfg, [0.0, 5.0, 10.0])):
             acc.add(np.array([u.sum(), (u * u).sum()]))
         mean, mean_sq = acc.total / (3 * acc.n)
         var[dt] = mean_sq - mean * mean
@@ -331,10 +332,10 @@ def check_hermitian_preservation(model, seed, scale, tol_scale):
     # makes it nonzero within two steps, so 1000 steps suffice
     steps = 1000
     cfg = torus.TorusConfig(8.0, 5, 1.0, 0.01)
-    [(st,)] = torus._paths(torus.StepOperator(cfg, model), seed, 1, (steps,))
-    full = st.full_modes()
+    [(full,)] = torus._paths(torus.StepOperator(cfg, model), seed, 1,
+                             (steps,), torus.TorusState.full_modes)
     gap = float(np.max(np.abs(full - np.conj(full[::-1]))))
-    real_zero = math.copysign(1.0, st.modes[0].imag) == 1.0
+    real_zero = math.copysign(1.0, full[cfg.half].imag) == 1.0
     return CheckResult("spde", "hermitian-symmetry",
                        gap == 0.0 and real_zero,
                        f"max |u_n - conj(u_-n)| = {gap:.1e} over {steps} "
@@ -346,9 +347,10 @@ def check_stationary_spectrum(model, seed, scale, tol_scale):
     paths = max(500, int(2000 * scale))
     t_end = 4.0
     acc = np.zeros(cfg.half + 1)
-    for (st,) in torus._paths(torus.StepOperator(cfg, model), seed, paths,
-                              (int(round(t_end / cfg.dt)),)):
-        acc += np.abs(st.modes) ** 2
+    for (power,) in torus._paths(torus.StepOperator(cfg, model), seed, paths,
+                                 (int(round(t_end / cfg.dt)),),
+                                 lambda st: np.abs(st.modes) ** 2):
+        acc += power
     emp = acc / paths
     rate = torus._rates(cfg, model)
     exact = 1.0 / (cfg.circumference * rate)

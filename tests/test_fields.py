@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from dynkin_lab import cli, fields
+from dynkin_lab import cli, fields, rng
 from dynkin_lab.fields import (FieldSample, SpectralGrid, ensemble_values,
                                increment_scaling_exponent, sample_heat_field,
                                sample_joint, scaling_exponent_ensemble,
@@ -232,7 +232,7 @@ def test_ensemble_stream_contract(monkeypatch):
     try:
         for workers in (None, 1, 3):
             if workers is not None:
-                monkeypatch.setattr(fields, "_workers", lambda w=workers: w)
+                monkeypatch.setattr(rng, "workers", lambda w=workers: w)
                 sys.setswitchinterval(1e-5 if workers > 1 else interval)
             for (kind, t, order, batch), want in _ENSEMBLE_PINS.items():
                 got = ensemble_values(STABLE, kind, 1.0, t, grid, pts, 5, 4,

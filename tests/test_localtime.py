@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dynkin_lab import rng
+from dynkin_lab import rng, torus
 from dynkin_lab.kernels import u_alpha
 from dynkin_lab.levy import LevyModel
 from dynkin_lab.localtime import (BandwidthError, OccupancyError, PathConfig,
@@ -300,3 +300,27 @@ def test_path_bandwidth_guard_reads_the_law():
                     mean_local_times(cfg, 0.0, [0.0], [0.01], paths=2)
         resolvent_check(PathConfig(beta, c, 1e-3, eps=m), 20.0, 0.0, 0.0,
                         paths=2)
+
+
+def test_one_worker_gives_the_pooled_run_bit_for_bit(monkeypatch):
+    # every estimator adds its paths' values in path order, so a run split
+    # over worker processes equals the serial one to the last bit; the
+    # paths exceed the pool threshold, and two workers are forced so that
+    # the default run pools on any host with fork (on two cores it is the
+    # default)
+    paths = rng.POOL_MIN_ITEMS + 100
+    cfg = PathConfig(1.5, 0.5, 1e-3, seed=41)
+    tcfg = torus.TorusConfig(16.0, 33, 2.0, 0.1)
+    runs = [
+        lambda: resolvent_check(cfg, 1.0, 0.0, 0.2, paths),
+        lambda: corollary_test(cfg, 1.0, 0.0, 0.5, 0.7, paths,
+                               min_bin_count=1),
+        lambda: discounted_split_check(cfg, 1.0, 0.0, 0.5, 0.7, paths),
+        lambda: mean_local_times(cfg, 0.1, [0.0, 0.3], [0.2, 0.5], paths),
+        lambda: torus.run_moments(tcfg, WALK, 1.0, paths, [0.0, 2.5],
+                                  seed=41),
+    ]
+    monkeypatch.setattr(rng, "workers", lambda: 2)
+    pooled = [repr(run()) for run in runs]
+    monkeypatch.setattr(rng, "workers", lambda: 1)
+    assert [repr(run()) for run in runs] == pooled

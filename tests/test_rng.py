@@ -1,7 +1,13 @@
-"""The hot-loop opener must draw exactly what a fresh stream draws."""
+"""The hot-loop opener must draw exactly what a fresh stream draws, the
+accumulator must add like the plain loop, and the path pool must yield the
+serial sequence and leave no process behind."""
 
+import contextlib
+import multiprocessing
+import os
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -139,3 +145,102 @@ def test_second_moment_se():
     assert rng.second_moment_se(2.0, 8) == 1.0
     assert rng.second_moment_se(np.array([1.0, 3.0]), 50).tolist() == [
         0.2, 0.6000000000000001]
+
+
+_FORK = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the path pool needs the fork start method")
+
+
+def _indexed(lo, hi):
+    # item i with the process that made it
+    return [(i, os.getpid()) for i in range(lo, hi)]
+
+
+@_FORK
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_in_order_keeps_the_order_around_the_threshold(monkeypatch, offset):
+    monkeypatch.setattr(rng, "workers", lambda: 2)
+    n = rng.POOL_MIN_ITEMS + offset
+    items = list(rng._in_order(_indexed, n))
+    assert [i for i, _ in items] == list(range(n))
+    pids = {pid for _, pid in items}
+    # below the threshold the caller's process makes every item; from it
+    # on, only the workers do (one of the two may take every chunk)
+    if offset < 0:
+        assert pids == {os.getpid()}
+    else:
+        assert 1 <= len(pids) <= 2 and os.getpid() not in pids
+    assert multiprocessing.active_children() == []
+
+
+@contextlib.contextmanager
+def _pool_closed_by_its_owner():
+    # a running Pool that is only garbage-collected warns "unclosed running
+    # multiprocessing pool"; the generator must end it itself
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+    assert not [w for w in caught if w.category is ResourceWarning]
+    assert multiprocessing.active_children() == []
+
+
+@_FORK
+def test_in_order_ends_its_pool_when_closed_early(monkeypatch):
+    monkeypatch.setattr(rng, "workers", lambda: 2)
+    with _pool_closed_by_its_owner():
+        items = rng._in_order(_indexed, 4 * rng.POOL_MIN_ITEMS)
+        assert next(items)[0] == 0
+        assert len(multiprocessing.active_children()) == 2
+        items.close()
+
+
+@_FORK
+def test_in_order_ends_its_pool_when_the_consumer_raises(monkeypatch):
+    monkeypatch.setattr(rng, "workers", lambda: 2)
+    with _pool_closed_by_its_owner(), pytest.raises(ZeroDivisionError):
+        for i, _ in rng._in_order(_indexed, 4 * rng.POOL_MIN_ITEMS):
+            if i == 5:
+                1 / 0
+
+
+def _in_order_here(n):
+    return list(rng._in_order(_indexed, n))
+
+
+@_FORK
+def test_in_order_runs_serially_inside_a_daemonic_process(monkeypatch):
+    # a pool worker may not start children, so a path loop called inside a
+    # caller's own pool runs in that worker
+    monkeypatch.setattr(rng, "workers", lambda: 2)
+    n = 4 * rng.POOL_MIN_ITEMS
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        items = pool.apply(_in_order_here, (n,))
+    assert [i for i, _ in items] == list(range(n))
+    assert len({pid for _, pid in items}) == 1
+    assert items[0][1] != os.getpid()
+
+
+class _WorkerFault(ValueError):
+    pass
+
+
+@_FORK
+def test_in_order_raises_a_worker_exception_with_its_type(monkeypatch):
+    monkeypatch.setattr(rng, "workers", lambda: 2)
+    n = 4 * rng.POOL_MIN_ITEMS
+    bad = n - 3   # in the last chunk, made by a worker
+
+    def task(lo, hi):
+        for i in range(lo, hi):
+            if i == bad:
+                raise _WorkerFault(f"item {i} in process {os.getpid()}")
+            yield i
+
+    seen = []
+    with pytest.raises(_WorkerFault, match=f"item {bad} in process") as info:
+        for i in rng._in_order(task, n):
+            seen.append(i)
+    assert int(str(info.value).rsplit(" ", 1)[1]) != os.getpid()
+    assert seen == list(range(len(seen))) and len(seen) < bad
+    assert multiprocessing.active_children() == []

@@ -100,9 +100,9 @@ def test_mode_variance_matches_ensemble():
     cfg = TorusConfig(16.0, 17, 2.0, 0.1)
     paths, steps = 6000, 8
     acc = np.zeros(cfg.half + 1)
-    for (st,) in torus._paths(StepOperator(cfg, BROWNIAN), 21, paths,
-                              (steps,)):
-        acc += np.abs(st.modes) ** 2
+    for (power,) in torus._paths(StepOperator(cfg, BROWNIAN), 21, paths,
+                                 (steps,), lambda st: np.abs(st.modes) ** 2):
+        acc += power
     emp = acc / paths
     exact = mode_variance(cfg, BROWNIAN, steps * cfg.dt)
     se = exact * math.sqrt(2.0 / paths)
