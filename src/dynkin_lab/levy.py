@@ -62,18 +62,35 @@ class LevyMeasure:
     @staticmethod
     def from_density(rho: Callable, z_min: float = 0.0,
                      z_max: float = math.inf) -> "LevyMeasure":
+        """Measure with density rho on (z_min, z_max) and zero outside.
+
+        rho must be elementwise.  The measure's ``density(z)`` returns a
+        fresh, writable float array of z's shape, sharing no memory with
+        z, that is zero outside the open support; callers may scale it in
+        place.  A NaN or negative value of rho raises ValueError.
+        """
         if not 0 <= z_min < z_max:
             raise ValueError("support must satisfy 0 <= z_min < z_max")
 
         def clipped(z):
             z = np.asarray(z, dtype=float)
             inside = (z > z_min) & (z < z_max)
-            out = np.zeros_like(z)
-            if np.any(inside):
+            if inside.all():
+                # every point inside: rho's own values, with no gather or
+                # scatter; copied only when rho returned a scalar, a view
+                # of z or a read-only array
+                out = vals = np.asarray(rho(z), dtype=float)
+                if (vals.shape != z.shape or not vals.flags.writeable
+                        or np.may_share_memory(vals, z)):
+                    out = np.array(np.broadcast_to(vals, z.shape))
+            else:
+                out = np.zeros_like(z)
                 vals = np.asarray(rho(z[inside]), dtype=float)
-                if np.any(vals < 0):
-                    raise ValueError("jump density must be nonnegative")
                 out[inside] = vals
+            # one comparison pass: NaN fails it too
+            if not np.all(vals >= 0):
+                raise ValueError(
+                    "jump density must be nonnegative and not NaN")
             return out
 
         try:

@@ -318,6 +318,68 @@ def test_measure_rejects_negative_density():
         LevyMeasure.from_density(lambda z: -np.ones_like(z), 0.5, 2.0)
 
 
+def test_measure_rejects_nan_density():
+    # NaN passes a test written vals < 0: the certificate then ran out of
+    # panels and blamed a non-integrable tail
+    with pytest.raises(ValueError, match="nonnegative and not NaN"):
+        LevyMeasure.from_density(
+            lambda z: np.where((z > 3) & (z < 3.5), np.nan, z ** -2.5))
+
+
+@pytest.mark.parametrize("rho", [lambda z: 0.1, lambda z: z],
+                         ids=["scalar", "identity"])
+@pytest.mark.parametrize("z", [np.array([0.7, 1.0, 1.9]),
+                               np.array([[0.1, 1.0], [1.5, 2.0]]),
+                               np.array(1.2)],
+                         ids=["inside", "straddling", "zero-d"])
+def test_density_is_a_fresh_array_of_the_points_shape(rho, z):
+    # callers scale the density in place: it must be writable and must
+    # not alias the points, even when rho returns a scalar or z itself
+    nu = LevyMeasure.from_density(rho, 0.5, 2.0)
+    before = z.copy()
+    out = nu.density(z)
+    assert out.shape == z.shape and out.flags.writeable
+    assert not np.shares_memory(out, z)
+    want = np.where((z > 0.5) & (z < 2.0), rho(z), 0.0)
+    assert np.array_equal(out, want)
+    out *= 3.0
+    assert np.array_equal(z, before)
+
+
+# float.hex of re_psi at xi = 1, 37.5 and 2^20 and of the integrability
+# certificate (small moment, tail weight), recorded when every point went
+# through the support mask: the route that skips the mask for points all
+# inside must give the same bits
+_PINNED = [
+    (lambda: LevyMeasure.power_law(1.0, 1.2),
+     ["0x1.7fc04fd30cc81p+1", "0x1.d033cbc626c65p+7",
+      "0x1.7fc04fd30cc92p+25"],
+     ("0x1.4000000000000p+0", "0x1.aaaaaaaaaaaa9p-1")),
+    (lambda: LevyMeasure.power_law(1.0, 1.5, z_min=5.0),
+     ["0x1.6a7ddd773f2ddp-4", "0x1.e52b8a9364d98p-4",
+      "0x1.e87a0537818c1p-4"],
+     ("0x0.0p+0", "0x1.e879fc1ddca80p-5")),
+    (lambda: LevyMeasure.power_law(1.0, 1.0, z_max=8.0),
+     ["0x1.6e55f8a52dbb4p+1", "0x1.d63e02c8c5badp+6",
+      "0x1.889bc5c58b378p+21"],
+     ("0x1.fffffffffffffp-1", "0x1.bffffffffffffp-1")),
+    (lambda: LevyMeasure.from_table(_TABLE_Z, _TABLE_Z ** -2.5),
+     ["0x1.8d0f708db0116p+1", "0x1.e6dc48dd386bap+8",
+      "0x1.4d4e9763e4f63p+10"],
+     ("0x1.cccccccccccccp+0", "0x1.4a8a17cb952dfp-1")),
+]
+
+
+@pytest.mark.parametrize("make, exponents, certificate", _PINNED,
+                         ids=["power-law", "z-min", "z-max", "table"])
+def test_jump_exponents_pinned_bit_for_bit(make, exponents, certificate):
+    nu = make()
+    got = re_psi(LevyModel.khintchine(0.0, nu),
+                 np.array([1.0, 37.5, 2.0**20]))
+    assert [float(v).hex() for v in got] == exponents
+    assert (nu.small_moment.hex(), nu.tail_weight.hex()) == certificate
+
+
 def test_tabulated_measure():
     z = np.geomspace(0.01, 10.0, 40)
     nu = LevyMeasure.from_table(z, z ** -2.5)
