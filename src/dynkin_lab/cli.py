@@ -124,13 +124,10 @@ def run_synth(cfg: ExperimentConfig) -> int:
     sec = cfg.synth
     alpha, t = sec["alpha"], sec["t"]
     gspec = sec.get("grid") or {}
-    if gspec.get("cutoff"):
-        grid = fields.SpectralGrid(gspec["cutoff"],
-                                   int(gspec.get("modes") or 1 << 14))
-    else:
-        grid = fields.SpectralGrid.default(cfg.model, alpha)
-        if gspec.get("modes"):
-            grid = fields.SpectralGrid(grid.cutoff, int(gspec["modes"]))
+    modes = int(gspec.get("modes") or fields.DEFAULT_MODES)
+    cutoff = gspec.get("cutoff") \
+        or fields.SpectralGrid.default(cfg.model, alpha).cutoff
+    grid = fields.SpectralGrid(cutoff, modes)
     x_step = sec["x_step"] or (2.0 * math.pi / grid.cutoff) * 0.25
     x = np.arange(int(sec["x_points"])) * x_step
     n_deriv = sec["derivative_order"]

@@ -22,10 +22,10 @@ and N = 2 pi / (dx dxi) an integer to rounding, xi_k x_j = xi_k x0 +
 and the sum is an N-point inverse FFT read at j mod N.  The FFT is taken
 only when N log2 N <= (points x modes); every other x takes the dense
 cos/sin product, which stays the oracle.  Ensembles at probe points use
-the dense product; each amplitude row is filled in place from its own
-stream, with the rows of a batch split over one thread per core.  A row's
-values do not depend on the thread that fills it, so ensembles are
-bit-identical for any worker count.
+the dense product, a block of rows at a time; each amplitude row is filled
+in place from its own stream, with the rows of a block split over one
+thread per core.  A row's values do not depend on the thread that fills
+it, so ensembles are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -45,6 +45,11 @@ from .quadrature import NonConvergenceError, integral_to_infinity
 _COMPONENTS = {"V": (0, 1), "S": (2, 3), "U": (4, 5), "eta": (6, 7)}
 # the line kernel whose spectral envelope each field's density is
 _KERNEL_OF = {"eta": "potential", "V": "varV", "S": "varS", "U": "varU"}
+# the mode count of SpectralGrid.default
+DEFAULT_MODES = 1 << 14
+# doubles per amplitude buffer of ensemble_values: a block of rows holds
+# _BLOCK_DOUBLES // n_modes of them (512 on a 4096-mode grid), at least one
+_BLOCK_DOUBLES = 2**21
 
 
 @dataclass(frozen=True)
@@ -76,7 +81,7 @@ class SpectralGrid:
     def default(model: LevyModel, alpha: float = 1.0) -> "SpectralGrid":
         beta_eff = model.tail_exponent()
         cutoff = 256.0 * (alpha + 1.0) ** (1.0 / beta_eff)
-        return SpectralGrid(cutoff=cutoff, n_modes=1 << 14)
+        return SpectralGrid(cutoff=cutoff, n_modes=DEFAULT_MODES)
 
 
 def spectral_density(kind: str, model: LevyModel, alpha: float | None,
@@ -263,8 +268,7 @@ def sample_heat_field(model: LevyModel, t: float, grid: SpectralGrid,
 def ensemble_values(model: LevyModel, kind: str, alpha: float | None,
                     t: float | None, grid: SpectralGrid, points: np.ndarray,
                     seed: int, replicates: int,
-                    derivative_order: int = 0,
-                    batch: int = 512) -> np.ndarray:
+                    derivative_order: int = 0) -> np.ndarray:
     """(replicates x len(points)) matrix of field values at probe points.
 
     Row r realises the same spectral sum as sample_joint /
@@ -273,11 +277,14 @@ def ensemble_values(model: LevyModel, kind: str, alpha: float | None,
     ``derivative_order`` applies to kinds S and S_derivative only; any
     other kind with a nonzero order raises ValueError.
 
-    Each batch of rows is filled in place, one row per amplitude stream,
-    with the rows split over one thread per core; then one matrix product
-    per part.  A row is a pure function of its stream, so the split cannot
-    move a bit: identical calls are bit-identical for any worker count,
-    and batching only regroups the matrix products.
+    Rows go through in blocks of max(1, _BLOCK_DOUBLES // n_modes), so
+    each of the two amplitude buffers holds at most 16 MiB unless a single
+    row is longer.  Each block is filled in place, one row per amplitude
+    stream, with the rows split over one thread per core; then one matrix
+    product per part.  A row is a pure function of its stream, so the
+    split cannot move a bit: identical calls are bit-identical for any
+    worker count, and the block length only regroups the matrix
+    products.
     """
     n = _derivative_order(derivative_order)
     if kind not in ("eta", "V", "S", "U", "S_derivative"):
@@ -302,7 +309,8 @@ def ensemble_values(model: LevyModel, kind: str, alpha: float | None,
 
     out = np.empty((replicates, points.size))
     k = grid.n_modes
-    a = np.empty((min(batch, replicates), k))
+    block = max(1, _BLOCK_DOUBLES // k)
+    a = np.empty((min(block, replicates), k))
     b = np.empty_like(a)
     workers = rng.workers()
 
@@ -312,8 +320,8 @@ def ensemble_values(model: LevyModel, kind: str, alpha: float | None,
             _mode_normals(seed, r, cb, k, out=b[r - lo])
 
     with ThreadPoolExecutor(workers) as pool:
-        for lo in range(0, replicates, batch):
-            hi = min(lo + batch, replicates)
+        for lo in range(0, replicates, block):
+            hi = min(lo + block, replicates)
             step = -(-(hi - lo) // workers)
             acc = np.zeros((hi - lo, points.size))
             for (ca, cb), cmat, smat in mats:
@@ -419,9 +427,8 @@ def increment_scaling_exponent(samples, lags, model: LevyModel) -> ScalingFit:
     return _fit_loglog(lags, per_rep, band)
 
 
-# the probe bases and ensemble batch of scaling_exponent_ensemble
+# the probe bases of scaling_exponent_ensemble
 _PROBE_BASES = (0.0, 7.0, 14.0, 21.0)
-_PROBE_BATCH = 256
 
 
 def scaling_exponent_ensemble(model: LevyModel, kind: str, alpha, t,
@@ -441,7 +448,7 @@ def scaling_exponent_ensemble(model: LevyModel, kind: str, alpha, t,
                                        for r in np.concatenate([[0.0], lags])
                                        ]))
     vals = ensemble_values(model, kind, alpha, t, grid, points, seed,
-                           replicates, batch=_PROBE_BATCH)
+                           replicates)
     base_ix = np.searchsorted(points, bases)
     per_rep = np.empty((replicates, lags.size))
     for li, r in enumerate(lags):

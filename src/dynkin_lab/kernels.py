@@ -64,7 +64,13 @@ def delta_difference(a: float, b: float) -> AtomicMeasure:
 
 @dataclass(frozen=True)
 class KernelQuery:
-    """Killing rate, time window, and accuracy budget for moment profiles."""
+    """Killing rate, time window, and accuracy budget for moment profiles.
+
+    ``variance_profile`` runs its quadratures at min(1e-9, tolerance), so
+    only a tolerance below 1e-9 changes anything.  The ``kernel`` command
+    sets it from ``kernel.tolerance`` or ``--tol``; its ``kernels.csv``
+    does not read it and always uses 1e-9.
+    """
 
     alpha: float
     t: float

@@ -8,10 +8,11 @@ Ornstein-Uhlenbeck recursion driven by the white-noise projection:
 where the complex innovation variance is chosen so every grid-point marginal
 is exact in law for any step size (the update is Duhamel's formula, not an
 Euler scheme).  alpha = 0 is the heat equation; alpha > 0 the cable
-equation.  Only modes n >= 0 are stored; negative modes are materialised by
-conjugation.  The zero mode starts at 0, decays by a real factor and gets
-an imaginary innovation scaled by 0.0, so Im u_0 stays +0.0: Hermitian
-symmetry comes from the step's own arithmetic.
+equation.  Only modes n >= 0 are stored; the field sum folds the negative
+modes in as conjugates of the positive ones.  The zero mode starts at 0,
+decays by a real factor and gets an imaginary innovation scaled by 0.0, so
+Im u_0 stays +0.0: Hermitian symmetry comes from the step's own
+arithmetic.
 """
 
 from __future__ import annotations
@@ -62,11 +63,6 @@ class TorusState:
     seed: int
     path: int
     step_index: int
-
-    def full_modes(self) -> np.ndarray:
-        """Hermitian mode vector for n = -half..half."""
-        neg = np.conj(self.modes[1:][::-1])
-        return np.concatenate([neg, self.modes])
 
 
 def initial_state(cfg: TorusConfig, seed: int, path: int = 0) -> TorusState:
@@ -139,20 +135,38 @@ def _paths(op: StepOperator, seed: int, paths: int, stops, reduce):
     return rng._in_order(task, paths)
 
 
+def _probes(cfg: TorusConfig, x: np.ndarray):
+    """The field sum at the points x, as a function of the state.
+
+    With u_{-n} = conj(u_n) and a real u_0, sum_n u_n exp(i k_n x) over
+    n = -half..half is the half-spectrum sum
+    2 sum_{n>=0} (Re u_n cos(k_n x) - Im u_n sin(k_n x)) with the zero
+    mode's cosine halved.
+    """
+    phases = np.outer(cfg.frequencies, x)
+    cos_b = np.cos(phases)
+    sin_b = np.sin(phases)
+    cos_b[0] *= 0.5
+
+    def values(state: TorusState) -> np.ndarray:
+        return 2.0 * (state.modes.real @ cos_b - state.modes.imag @ sin_b)
+
+    return values
+
+
 def snapshot(state: TorusState, cfg: TorusConfig, x) -> np.ndarray:
-    """Field values u(x) = sum_n u_n exp(i k_n x) for x in [0, L)."""
+    """Field values u(x) = sum_n u_n exp(i k_n x) for x in [0, L).
+
+    The stored half spectrum is Hermitian exactly when Im u_0 = 0; any
+    other state raises ValueError.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x < 0) or np.any(x >= cfg.circumference):
         raise ValueError(f"x must lie in [0, {cfg.circumference})")
-    n = np.arange(-cfg.half, cfg.half + 1)
-    k = 2.0 * math.pi * n / cfg.circumference
-    u = state.full_modes() @ np.exp(1j * np.outer(k, x))
-    scale = max(1.0, float(np.max(np.abs(u))))
-    residue = float(np.max(np.abs(u.imag)))
-    if residue > 1e-12 * scale:
-        raise AssertionError(f"Hermitian symmetry violated: imaginary "
-                             f"residue {residue:.3e}")
-    return u.real
+    if state.modes[0].imag != 0.0:
+        raise ValueError(f"Hermitian symmetry violated: Im u_0 = "
+                         f"{state.modes[0].imag:.3e}")
+    return _probes(cfg, x)(state)
 
 
 def mode_variance(cfg: TorusConfig, model: LevyModel, t: float) -> np.ndarray:
@@ -249,17 +263,7 @@ def run_moments(cfg: TorusConfig, model: LevyModel, t_end: float,
             raise ValueError(
                 f"torus too small: image-sum correction {image:.3%} "
                 "exceeds 1% of the kernel at the origin")
-    # half-spectrum evaluation basis; Hermitian symmetry is structural, so
-    # this equals the full snapshot sum with zero imaginary residue
-    phases = np.outer(cfg.frequencies, probes)
-    cos_b = np.cos(phases)
-    sin_b = np.sin(phases)
-    cos_b[0] *= 0.5
-
-    def fast_values(state):
-        return 2.0 * (state.modes.real @ cos_b - state.modes.imag @ sin_b)
-
-    for values in _paths(op, seed, paths, stops, fast_values):
+    for values in _paths(op, seed, paths, stops, _probes(cfg, probes)):
         for slot, value in zip(slots, values):
             acc[slot].add(value)
     rows = []

@@ -8,6 +8,8 @@ import pytest
 
 from dynkin_lab.cli import main
 from dynkin_lab.config import ConfigError, parse_config
+from dynkin_lab.fields import DEFAULT_MODES, SpectralGrid
+from dynkin_lab.levy import LevyModel
 
 MINIMAL = {"model": {"kind": "stable", "beta": 1.5, "c": 1.0}}
 
@@ -128,6 +130,25 @@ def test_cli_synth_deterministic_outputs(tmp_path, capsys):
                  "ensemble_stats.csv"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
+
+
+def test_cli_synth_grid_keys(tmp_path, capsys):
+    # each grid key overrides its own half of SpectralGrid.default alone
+    default = SpectralGrid.default(LevyModel.brownian(1.0), 2.0)
+    assert default.n_modes == DEFAULT_MODES
+    for gspec, want in (
+            ({}, (default.cutoff, DEFAULT_MODES)),
+            ({"cutoff": 64.0}, (64.0, DEFAULT_MODES)),
+            ({"modes": 256}, (default.cutoff, 256)),
+            ({"cutoff": 64.0, "modes": 256}, (64.0, 256))):
+        payload = {"model": {"kind": "brownian", "kappa": 1.0},
+                   "synth": {"alpha": 2.0, "t": 1.0, "grid": gspec,
+                             "x_points": 8, "replications": 2}}
+        out = tmp_path / str(len(list(tmp_path.iterdir())))
+        assert main(["synth", "--config", write_cfg(tmp_path, payload),
+                     "--out", str(out)]) == 0
+        head = (out / "field_eta.csv").read_text().splitlines()[1]
+        assert f"cutoff={want[0]!r} modes={want[1]} " in head, (gspec, head)
 
 
 def test_cli_seed_flag_wins(tmp_path, capsys):

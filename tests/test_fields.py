@@ -99,15 +99,22 @@ def test_ensemble_matches_sample_joint():
         assert np.allclose(ens[r], eta.values, rtol=1e-10, atol=1e-12)
 
 
-def test_ensemble_batch_independence():
+def _block_rows(monkeypatch, rows, grid):
+    # blocks of `rows` rows on this grid
+    monkeypatch.setattr(fields, "_BLOCK_DOUBLES", rows * grid.n_modes)
+
+
+def test_ensemble_batch_independence(monkeypatch):
     grid = SpectralGrid(256.0, 512)
     pts = np.array([0.0, 1.0])
-    a = ensemble_values(STABLE, "V", 1.0, 0.5, grid, pts, 7, 10, batch=3)
-    b = ensemble_values(STABLE, "V", 1.0, 0.5, grid, pts, 7, 10, batch=512)
-    # batching only regroups matrix products: agreement to reduction-order
-    # rounding, and identical batching is bit-identical
+    _block_rows(monkeypatch, 3, grid)
+    a = ensemble_values(STABLE, "V", 1.0, 0.5, grid, pts, 7, 10)
+    c = ensemble_values(STABLE, "V", 1.0, 0.5, grid, pts, 7, 10)
+    _block_rows(monkeypatch, 512, grid)
+    b = ensemble_values(STABLE, "V", 1.0, 0.5, grid, pts, 7, 10)
+    # blocking only regroups matrix products: agreement to reduction-order
+    # rounding, and identical blocks are bit-identical
     assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
-    c = ensemble_values(STABLE, "V", 1.0, 0.5, grid, pts, 7, 10, batch=3)
     assert np.array_equal(a, c)
 
 
@@ -175,9 +182,9 @@ def test_dense_route_values_are_unchanged():
 
 
 # ensemble_values(STABLE, kind, 1.0, t, SpectralGrid(256.0, 512),
-# [0.0, 0.7], seed=5, replicates=4, derivative_order, batch), keyed
-# (kind, t, derivative_order, batch), recorded before the amplitude
-# rows were filled on threads
+# [0.0, 0.7], seed=5, replicates=4, derivative_order) in blocks of `rows`
+# rows, keyed (kind, t, derivative_order, rows), recorded before the
+# amplitude rows were filled on threads
 _ENSEMBLE_PINS = {
     ("V", 0.5, 0, 3): [
         [0.5069318882405882, 0.7885721182632588],
@@ -234,10 +241,11 @@ def test_ensemble_stream_contract(monkeypatch):
             if workers is not None:
                 monkeypatch.setattr(rng, "workers", lambda w=workers: w)
                 sys.setswitchinterval(1e-5 if workers > 1 else interval)
-            for (kind, t, order, batch), want in _ENSEMBLE_PINS.items():
+            for (kind, t, order, rows), want in _ENSEMBLE_PINS.items():
+                _block_rows(monkeypatch, rows, grid)
                 got = ensemble_values(STABLE, kind, 1.0, t, grid, pts, 5, 4,
-                                      derivative_order=order, batch=batch)
-                assert got.tolist() == want, (kind, t, order, batch,
+                                      derivative_order=order)
+                assert got.tolist() == want, (kind, t, order, rows,
                                               workers)
     finally:
         sys.setswitchinterval(interval)

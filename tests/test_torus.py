@@ -54,6 +54,16 @@ def test_snapshot_domain_error():
         snapshot(st, cfg, [-0.1])
 
 
+def test_snapshot_rejects_an_imaginary_zero_mode():
+    # Im u_0 is the one way a stored half spectrum can break Hermitian
+    # symmetry; 1e-14 is far below the field's scale and must still raise
+    cfg = TorusConfig(16.0, 33, 0.0, 0.1)
+    modes = np.zeros(cfg.half + 1, dtype=complex)
+    modes[0] = 1.0 + 1e-14j
+    with pytest.raises(ValueError, match="Hermitian"):
+        snapshot(TorusState(modes, 0, 0, 0), cfg, [0.0, 4.0])
+
+
 def test_zero_mode_variance_heat_exact():
     # alpha = 0 zero mode is a Brownian motion in time: Var = t/L, and the
     # one-step recursion reproduces it exactly in floating point

@@ -1,5 +1,6 @@
 """The benchmark's tracer must find every name it wraps in the package,
-and count what the montecarlo workload reports."""
+and count what the montecarlo workload reports; the configs the benchmark
+times must parse."""
 
 import json
 import math
@@ -27,6 +28,22 @@ def _run(code):
 
 def test_benchmark_tracer_installs():
     _run("import tracing; tracing.Tracer().install()")
+
+
+_WORKLOADS = """
+import tempfile
+import workloads
+
+with tempfile.TemporaryDirectory() as out:
+    for name, cls in workloads.WORKLOADS.items():
+        cls(out + "/" + name, 1, True)
+"""
+
+
+def test_benchmark_configs_parse():
+    # every cli_op parses the config the benchmark times, so a schema
+    # change that would fail the benchmark run fails here
+    _run(_WORKLOADS)
 
 
 _PATH_COUNTERS = """
