@@ -295,9 +295,13 @@ def main(argv=None) -> int:
             return run_verify(cfg, suites=args.suite)
         return runners[args.command](cfg)
     except NonConvergenceError as exc:
+        found = [f"{name} {val!r}" for name, val in (
+            ("partial value", exc.partial), ("remainder", exc.remainder))
+            if val is not None]
         sys.stderr.write(
             f"numerical non-convergence in command {args.command!r} "
-            f"(config {args.config}): {exc}\n")
+            f"(config {args.config}): {exc}"
+            + (f" ({', '.join(found)})" if found else "") + "\n")
         return EXIT_NONCONVERGENT
     except (ValueError, localtime.OccupancyError) as exc:
         sys.stderr.write(f"error in command {args.command!r} "

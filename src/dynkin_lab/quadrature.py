@@ -69,8 +69,8 @@ def gl_panel(f: Callable, a: float, b: float) -> float:
     return half * float(np.sum(_GL_WEIGHTS * f(mid + half * _GL_NODES)))
 
 
-def adaptive(f: Callable, a: float, b: float, rel_tol: float = 1e-10,
-             abs_tol: float = 0.0) -> float:
+def adaptive(f: Callable, a: float, b: float,
+             rel_tol: float = 1e-10) -> float:
     """Adaptive bisection with Gauss-Legendre panels.
 
     A panel is accepted when the whole-panel estimate agrees with the sum of
@@ -87,7 +87,7 @@ def adaptive(f: Callable, a: float, b: float, rel_tol: float = 1e-10,
     whole = gl_panel(f, a, b)
     stack = [(a, b, whole, 0)]
     total = 0.0
-    scale = abs(whole) + abs_tol
+    scale = abs(whole)
     used = 0
     while stack:
         used += 1
@@ -102,7 +102,7 @@ def adaptive(f: Callable, a: float, b: float, rel_tol: float = 1e-10,
         refined = left + right
         scale = max(scale, abs(total) + abs(refined))
         err = abs(refined - est)
-        if err <= max(rel_tol * scale, abs_tol) or depth >= ADAPTIVE_DEPTH:
+        if err <= rel_tol * scale or depth >= ADAPTIVE_DEPTH:
             total += refined
         else:
             stack.append((lo, mid, left, depth + 1))

@@ -95,13 +95,24 @@ def test_cli_check_stable(tmp_path, capsys):
     assert (tmp_path / "out" / "check.csv").exists()
 
 
+def test_cli_check_grid_below_one_hawkes_inconclusive(tmp_path, capsys):
+    # no xi above 1: the hawkes trend table is empty
+    payload = dict(MINIMAL, out_dir=str(tmp_path / "out"),
+                   check={"xi_min": 0.1, "xi_max": 0.9})
+    assert main(["check", "--config", write_cfg(tmp_path, payload)]) == 0
+    assert "hawkes: inconclusive" in capsys.readouterr().out
+
+
 def test_cli_kernel_nonconvergent_exit_3(tmp_path, capsys):
     payload = {"model": {"kind": "stable", "beta": 1.0, "c": 1.0},
                "out_dir": str(tmp_path / "out"),
                "kernel": {"alphas": [1.0], "ts": [1.0], "rs": [0.0]}}
     code = main(["kernel", "--config", write_cfg(tmp_path, payload)])
     assert code == 3
-    assert "non-convergence" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "non-convergence" in err
+    # the walk's partial sum and remainder estimate are reported
+    assert "partial value " in err and "remainder " in err
 
 
 def test_cli_kernel_writes_provenance(tmp_path, capsys):
@@ -226,6 +237,9 @@ _OUTPUT_CASES = {
     "check": ("check", _STABLE, {"check": {
         "alpha": 1, "xi_max": 1e3, "eps_min": 1e-3,
         "points_per_decade": 4}}),
+    "check-khintchine": ("check", _KHINTCHINE, {"check": {
+        "alpha": 1, "xi_max": 1e3, "eps_min": 1e-2,
+        "points_per_decade": 4}}),
     "kernel": ("kernel", _BROWNIAN, {"kernel": {
         "alphas": [2, 0.5], "ts": [1], "rs": [0, 1.5]}}),
     "kernel-khintchine": ("kernel", _KHINTCHINE, {"kernel": {
@@ -261,6 +275,10 @@ _OUTPUT_DIGESTS = {
         "1115b87d649b5e8a0dc90e2b3c22c76528a14d469cb8f072f239758ce3416a5c",
     ("check", "check_summary.txt"):
         "e1a0ac355c9039f9bfcb70d08755b4fa0d9178d9d2f0a8062815c1c67d0f80a0",
+    ("check-khintchine", "check.csv"):
+        "e232c51adfa97cfe38909aeb925b622eb171b2b1249890f222ca8b5c019b05c6",
+    ("check-khintchine", "check_summary.txt"):
+        "5cc4aa0cd20d257143bc1dd299b2ba6b00712337a362db9d0ba4aa5a6870d8c8",
     ("kernel", "kernel_summary.txt"):
         "4ecbc8b4861fc47779640db911581c8f724d6413caf27c2d91f4408924ebb765",
     ("kernel", "kernels.csv"):

@@ -266,8 +266,21 @@ def test_condition_report_bounded_exponent_flat_hawkes():
     nu = LevyMeasure.power_law(1.0, 0.5, z_min=0.5, z_max=8.0)
     m = LevyModel.khintchine(0.0, nu)
     rep = condition_report(m, 1.0)
-    assert rep.verdicts["dalang"] in (VIOLATED, INCONCLUSIVE)
+    # finite jump mass with no Gaussian part: decided without quadrature
+    assert rep.verdicts["dalang"] == VIOLATED
+    assert rep.dalang_integral == rep.dalang_tail_bound == math.inf
     assert rep.verdicts["hawkes"] == VIOLATED
+
+
+def test_condition_report_khintchine_existence_closed_form():
+    # RePsi = xi^2/4 + pi |xi|, so int dxi / (1 + 2 RePsi) over the line is
+    # 2 ln((b + s)/(b - s))/s with b = 2 pi and s = sqrt(4 pi^2 - 2)
+    m = LevyModel.khintchine(0.5, LevyMeasure.power_law(1.0, 1.0))
+    rep = condition_report(m, 1.0)
+    b, s = 2.0 * math.pi, math.sqrt(4.0 * math.pi ** 2 - 2.0)
+    exact = 2.0 * math.log((b + s) / (b - s)) / s
+    assert rep.verdicts["dalang"] == SATISFIED
+    assert abs(rep.dalang_integral - exact) <= 3.0 * rep.dalang_tail_bound
 
 
 def test_condition_tables_sorted_nonempty():
