@@ -22,12 +22,12 @@ import numpy as np
 
 from .levy import LevyModel, re_psi
 from .quadrature import (RATIO_CAP, RATIO_DIVERGED, NonConvergenceError,
-                         cosine_transform, gl_panel, integral_to_infinity)
+                         adaptive, cosine_transform, gl_panel,
+                         integral_to_infinity)
 
 KERNEL_KINDS = ("potential", "pbar", "varV", "varS", "varU")
-# midpoint grid of the "grid" route of quadratic_form
-GRID_CUTOFF = 2.0**15
-GRID_MODES = 1 << 21
+# the "spectral" route of quadratic_form integrates up to here directly
+SPECTRAL_CUTOFF = 2.0**15
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,10 @@ class AtomicMeasure:
     def from_atoms(atoms) -> "AtomicMeasure":
         pts: dict[float, float] = {}
         for x, c in atoms:
-            pts[float(x)] = pts.get(float(x), 0.0) + float(c)
+            x, c = float(x), float(c)
+            if not (math.isfinite(x) and math.isfinite(c)):
+                raise ValueError("atom locations and weights must be finite")
+            pts[x] = pts.get(x, 0.0) + c
         pts = {x: c for x, c in pts.items() if c != 0.0}
         if not pts or sum(abs(c) for c in pts.values()) == 0.0:
             raise ValueError("atomic measure has zero total variation "
@@ -250,11 +253,15 @@ def quadratic_form(model: LevyModel, alpha: float | None, mu: AtomicMeasure,
                    route: str = "pairs", rel_tol: float = 1e-9) -> float:
     """sum_ij c_i c_j k(x_i - x_j) for the selected scalar kernel.
 
-    The operative route ("pairs") double-sums exact kernel quadratures.  The
-    alternative route ("grid") evaluates the same bilinear form as a single
-    midpoint sum of envelope(xi) * |mu_hat(xi)|^2 plus a mean-value tail
-    correction; both routes agree to the documented discretisation tolerance
-    and the test suite enforces that.
+    The operative route ("pairs") double-sums exact kernel quadratures, one
+    cosine transform per lag.  The "spectral" route evaluates the same
+    bilinear form as (1/pi) int_0^inf env(xi) |mu_hat(xi)|^2 dxi.  Up to
+    ``SPECTRAL_CUTOFF`` ``adaptive`` integrates it at rel_tol octave by
+    octave, so that envelopes which decay fast are sampled where they are
+    not yet 0, and its bisection refines the cusp of env at xi = 0 until
+    it meets the tolerance.  Beyond the cutoff |mu_hat|^2 is replaced by
+    its mean sum c_i^2.  The spectral route reads no value from the pairs
+    route, so each checks the other.
     """
     if not isinstance(mu, AtomicMeasure):
         raise TypeError("mu must be an AtomicMeasure")
@@ -271,18 +278,26 @@ def quadratic_form(model: LevyModel, alpha: float | None, mu: AtomicMeasure,
                                             t=t, rel_tol=rel_tol)
                 total += ci * cj * cache[r]
         return total
-    if route == "grid":
+    if route == "spectral":
         env = spectral_envelope(kernel, model, alpha, t)
-        dxi = GRID_CUTOFF / GRID_MODES
-        xi = (np.arange(GRID_MODES) + 0.5) * dxi
-        body = float(np.sum(env(xi) * mu.fourier_sq(xi))) * dxi / math.pi
+
+        def integrand(xi):
+            return env(xi) * mu.fourier_sq(xi)
+
+        # Octaves [0, 1], [1, 2], ..., [cutoff/2, cutoff]: one adaptive
+        # call on [0, cutoff] samples pbar and varS only where they have
+        # underflowed to 0, and accepts that 0 as the integral.
+        edges = [0.0, *(2.0**m
+                        for m in range(math.frexp(SPECTRAL_CUTOFF)[1]))]
+        body = sum(adaptive(integrand, lo, hi, rel_tol=rel_tol)
+                   for lo, hi in zip(edges, edges[1:])) / math.pi
         # beyond the cutoff |mu_hat|^2 averages to sum c_i^2
         w2 = float(np.sum(mu.weights**2))
         tail_env, _ = integral_to_infinity(
-            env, GRID_CUTOFF, first_edge=2.0 * GRID_CUTOFF, rel_tol=1e-8,
-            context="quadratic form tail")
+            env, SPECTRAL_CUTOFF, first_edge=2.0 * SPECTRAL_CUTOFF,
+            rel_tol=1e-8, context="quadratic form tail")
         return body + w2 * tail_env / math.pi
-    raise ValueError("route must be 'pairs' or 'grid'")
+    raise ValueError("route must be 'pairs' or 'spectral'")
 
 
 def green_bound_constant(alpha: float) -> float:

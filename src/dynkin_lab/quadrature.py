@@ -235,7 +235,8 @@ def cosine_transform(env: Callable, r: float, rel_tol: float = 1e-9,
                      context: str = "cosine transform") -> tuple[float, float]:
     """Evaluate ``int_0^inf cos(xi*r) env(xi) dxi`` for a decaying envelope.
 
-    Returns ``(value, error_bound)``.  For r = 0 this reduces to the octave
+    Returns ``(value, error_bound)``; a non-finite r raises ValueError
+    before any quadrature.  For r = 0 this reduces to the octave
     continuation.  Otherwise the first eight half-periods are integrated
     adaptively (they may contain all of the envelope's structure when r is
     small), after which half-period panels [k*pi/|r|, (k+1)*pi/|r|] are
@@ -249,6 +250,8 @@ def cosine_transform(env: Callable, r: float, rel_tol: float = 1e-9,
     envelope beforehand (the kernel layer does).
     """
     r = abs(float(r))
+    if not math.isfinite(r):
+        raise ValueError(f"{context}: lag r must be finite, got {r}")
     if r == 0.0:
         return integral_to_infinity(env, 0.0, rel_tol=rel_tol, context=context)
     h = np.pi / r

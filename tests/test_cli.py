@@ -267,6 +267,8 @@ _OUTPUT_CASES = {
         "suites": ["spde"], "paths_scale": 0.1}}),
     "verify-localtime": ("verify", _BROWNIAN, {"verify": {
         "suites": ["localtime"], "paths_scale": 0.1}}),
+    "verify-kernels": ("verify", _BROWNIAN, {"verify": {
+        "suites": ["kernels"]}}),
 }
 # SHA-256 of every file written, timings masked: a change to any output's
 # bytes has to update these on purpose
@@ -345,6 +347,10 @@ _OUTPUT_DIGESTS = {
         "9b182ba1b7f693b05843ab033144c6b44b3b6fdc50f9b9e4fdd989239b00369a",
     ("verify-localtime", "verify_summary.txt"):
         "73d83950ffdddee55a52282a820be4e697f0af538f7ec7ff198075b99dd1de30",
+    ("verify-kernels", "verify.csv"):
+        "5aa4d0fda27b675c287be4878a110ae135cada8ba817cba8761d2d12dc238b14",
+    ("verify-kernels", "verify_summary.txt"):
+        "e0b557aeaf0ce0150cf2acafb2430bae00743b2d959f813ecf2c1159c9f34563",
 }
 
 

@@ -119,9 +119,23 @@ def test_quadratic_form_increment_value():
 
 
 def test_quadratic_form_route_agreement():
-    for m in (BROWNIAN, STABLE):
+    # beta <= 1.3 gives the envelope its sharpest cusp at xi = 0, where a
+    # fixed grid errs as h^(1 + beta) and missed the 1e-5 gate
+    for m in (BROWNIAN, STABLE, LevyModel.stable(1.1, 1.0),
+              LevyModel.stable(1.2, 1.0), LevyModel.stable(1.2, 0.5),
+              LevyModel.stable(1.3, 1.0)):
         res = check_quadratic_form_routes(m, 0, 1.0, 1.0)
         assert res.passed, res.detail
+
+
+def test_quadratic_form_routes_agree_on_khintchine():
+    # pins cost more than value: a route that evaluates the jump exponent
+    # cold at 2^21 points takes minutes here
+    model = LevyModel.khintchine(0.0, LevyMeasure.power_law(1.0, 1.2))
+    mu = AtomicMeasure.from_atoms([(0.0, 1.0), (0.7, -0.5), (1.3, 0.25)])
+    a, b = (quadratic_form(model, 2.0, mu, "potential", route=route)
+            for route in ("pairs", "spectral"))
+    assert b == pytest.approx(a, rel=1e-5)
 
 
 def test_quadratic_form_rejects_bad_kernel():

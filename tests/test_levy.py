@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from dynkin_lab.fields import SpectralGrid, sample_heat_field, sample_joint
-from dynkin_lab.kernels import (KernelQuery, pbar_density, spectral_envelope,
-                                u_alpha)
+from dynkin_lab.kernels import (AtomicMeasure, KernelQuery, kernel_value,
+                                pbar_density, spectral_envelope, u_alpha)
 from dynkin_lab.levy import (INCONCLUSIVE, SATISFIED, VIOLATED, LevyMeasure,
                              LevyModel, _jump_exponent, averaged_exponent,
                              condition_report, feller_functions, re_psi,
@@ -102,6 +102,17 @@ _KHIN = LevyModel.khintchine(0.0, LevyMeasure.power_law(1.0, 1.2))
     (lambda: re_psi(_KHIN, _NAN), "xi must be finite"),
     (lambda: re_psi(_KHIN, math.inf), "xi must be finite"),
     (lambda: re_psi(_KHIN, np.array([1.0, -math.inf])), "xi must be finite"),
+    # ... and on these, after about 2 s
+    (lambda: u_alpha(_BROWNIAN, 1.0, _NAN), "lag r must be finite"),
+    (lambda: u_alpha(_BROWNIAN, 1.0, math.inf), "lag r must be finite"),
+    (lambda: pbar_density(_BROWNIAN, 1.0, math.inf), "lag r must be finite"),
+    (lambda: kernel_value(_BROWNIAN, "varS", -math.inf, alpha=1.0, t=1.0),
+     "lag r must be finite"),
+    # a NaN location raised KeyError, and non-finite weights were accepted
+    (lambda: AtomicMeasure.from_atoms([(_NAN, 1.0)]), "must be finite"),
+    (lambda: AtomicMeasure.from_atoms([(0.0, _NAN)]), "must be finite"),
+    (lambda: AtomicMeasure.from_atoms([(0.0, 1.0), (1.0, math.inf)]),
+     "must be finite"),
 ], ids=["brownian-kappa", "stable-c", "khintchine-sigma2", "path-c",
         "path-dt", "path-eps", "torus-circumference", "torus-alpha",
         "torus-dt", "grid-cutoff", "query-alpha", "query-t",
@@ -112,7 +123,9 @@ _KHIN = LevyModel.khintchine(0.0, LevyMeasure.power_law(1.0, 1.2))
         "horizon", "later-horizon", "torus-t-end", "condition-alpha",
         "feller-eps", "averaged-xi", "power-law-coeff", "support-z-min",
         "support-z-max", "khintchine-xi-nan", "khintchine-xi-inf",
-        "khintchine-xi-minus-inf"])
+        "khintchine-xi-minus-inf", "u-alpha-r-nan", "u-alpha-r-inf",
+        "pbar-r-inf", "kernel-r-minus-inf", "atom-location-nan",
+        "atom-weight-nan", "atom-weight-inf"])
 def test_guards_reject_nan(build, message):
     # a guard written x <= 0 is false for NaN and let it through
     with pytest.raises(ValueError, match=message):
