@@ -243,18 +243,40 @@ def _integral(f: Callable, lo: float, hi: float, rel_tol: float,
     return adaptive(f, lo, hi, rel_tol=rel_tol)
 
 
+def _half_periods(f: Callable, edges: np.ndarray) -> np.ndarray:
+    """One Gauss-Legendre panel of f on each [edges[i], edges[i+1]],
+    vectorised; a descending pair of edges gives the panel's negative."""
+    mids = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    halves = 0.5 * np.diff(edges)[:, None]
+    return halves[:, 0] * (f(mids + halves * _GL_NODES[None, :])
+                           @ _GL_WEIGHTS)
+
+
 def _jump_exponent(nu: LevyMeasure, xi: float, rel_tol: float) -> float:
     """2 int_0^inf (1 - cos(z xi)) rho(z) dz, split at z = 1/xi.
 
     The near field uses 2 sin^2(z xi / 2) (no cancellation) with dyadic
     refinement toward any origin singularity.  A short bridge carries the
-    integral to z = pi/xi, past which the measure mass and an oscillatory
-    cosine transform are combined; the mask boundary pi/xi coincides with a
-    half-period panel edge, so the transform sees no interior jump.
+    integral to lo = max(pi/xi, z_min).  Past lo:
+
+    * a finite support of at most 20,000 half periods is summed directly,
+      one Gauss-Legendre panel per half period, so the kinks of a table
+      fall inside panels;
+    * a longer finite support is the far mass (``adaptive``) minus the
+      cosine part, whose half-period partial sums are taken to their
+      limit by ``quadrature._averaged_limit`` from both ends, over
+      ``_OSC_PANELS`` panels forward from lo and as many backward from
+      z_max.  The two limits add up to the whole when rho is smooth
+      between the two windows, where the middle cancels; the averaging
+      bounds go unchecked, since they cannot see rho there;
+    * an infinite support is the far mass (``_integral``) minus the
+      cosine part: ``adaptive`` from lo to the next half period k pi/xi,
+      then ``cosine_transform`` of rho(k pi/xi + y), whose sign is
+      (-1)^k.  Its tolerance is set by the mass, since it can be far
+      smaller.
+
+    The value depends only on (nu, xi, rel_tol); nothing is cached here.
     """
-    hit = nu._exponents.get((xi, rel_tol))
-    if hit is not None:
-        return hit
     if xi == 0.0:
         return 0.0
     split = min(1.0 / xi, nu.z_max)
@@ -262,6 +284,12 @@ def _jump_exponent(nu: LevyMeasure, xi: float, rel_tol: float) -> float:
     def near_f(z):
         s = np.sin(0.5 * z * xi)
         return 2.0 * s * s * nu.density(z)
+
+    def far_f(z):
+        return (1.0 - np.cos(z * xi)) * nu.density(z)
+
+    def osc_f(z):
+        return np.cos(z * xi) * nu.density(z)
 
     near = _integral(near_f, nu.z_min, split, rel_tol,
                      "jump exponent near field")
@@ -271,68 +299,32 @@ def _jump_exponent(nu: LevyMeasure, xi: float, rel_tol: float) -> float:
     # cannot see a jump that its nodes miss
     bridge = max(split, nu.z_min)
     if edge > bridge:
-        far += adaptive(lambda z: (1.0 - np.cos(z * xi)) * nu.density(z),
-                        bridge, edge, rel_tol=rel_tol)
-    if edge < nu.z_max:
-        if nu.z_max != math.inf:
-            start = max(edge, nu.z_min)
-            n_half = int(math.ceil((nu.z_max - start) * xi / math.pi))
-            if n_half <= 20_000:
-                # one Gauss-Legendre panel per half-period, vectorised
-                edges = np.minimum(start + (math.pi / xi)
-                                   * np.arange(n_half + 1), nu.z_max)
-                mids = 0.5 * (edges[:-1] + edges[1:])[:, None]
-                halves = 0.5 * np.diff(edges)[:, None]
-                pts = mids + halves * _GL_NODES[None, :]
-                vals = (1.0 - np.cos(pts * xi)) * nu.density(pts)
-                far += float(np.sum(halves[:, 0]
-                                    * (vals @ _GL_WEIGHTS)))
-            else:
-                # extreme oscillation over a finite window: take the measure
-                # mass and correct with a midpoint Filon rule; the neglected
-                # remainder is O(TV(rho)/xi), far below trend-table needs
-                mass = adaptive(nu.density, start, nu.z_max, rel_tol=rel_tol)
-                segs = np.linspace(start, nu.z_max, 2049)
-                mids = 0.5 * (segs[:-1] + segs[1:])
-                osc = float(np.sum(nu.density(mids)
-                                   * (np.sin(xi * segs[1:])
-                                      - np.sin(xi * segs[:-1])) / xi))
-                far += mass - osc
+        far += adaptive(far_f, bridge, edge, rel_tol=rel_tol)
+    lo = max(edge, nu.z_min)
+    if nu.z_max == math.inf:
+        mass = _integral(nu.density, lo, math.inf, rel_tol,
+                         "jump measure far mass")
+        k = math.floor(lo * xi / math.pi) + 1
+        start = k * math.pi / xi
+        rest, _ = cosine_transform(
+            lambda y: nu.density(start + y), xi, rel_tol=rel_tol,
+            abs_tol=rel_tol * mass, context="jump exponent far field")
+        far += mass - (adaptive(osc_f, lo, start, rel_tol=rel_tol)
+                       + (-1) ** k * rest)
+    elif edge < nu.z_max:
+        n_half = int(math.ceil((nu.z_max - lo) * xi / math.pi))
+        if n_half <= 20_000:
+            far += float(np.sum(_half_periods(far_f, np.minimum(
+                lo + (math.pi / xi) * np.arange(n_half + 1), nu.z_max))))
         else:
-            # an empty first octave or block of panels would also end
-            # either integral with 0
-            mass = _integral(nu.density, max(edge, nu.z_min), math.inf,
-                             rel_tol, "jump measure far mass")
-            if nu.z_min <= edge:
-                osc, _ = cosine_transform(
-                    lambda z: np.where(z > edge, nu.density(z), 0.0), xi,
-                    rel_tol=rel_tol, context="jump exponent far field")
-            else:
-                # z_min to the next half period k pi/xi, then the rest,
-                # where cos(k pi + y xi) = (-1)^k cos(y xi); the rest can
-                # be far smaller than the mass, which sets its tolerance
-                k = math.floor(nu.z_min * xi / math.pi) + 1
-                start = k * math.pi / xi
-                osc = adaptive(lambda z: np.cos(z * xi) * nu.density(z),
-                               nu.z_min, start, rel_tol=rel_tol)
-                rest, _ = cosine_transform(
-                    lambda y: nu.density(start + y), xi, rel_tol=rel_tol,
-                    abs_tol=rel_tol * mass,
-                    context="jump exponent far field")
-                osc += (-1) ** k * rest
-            far += mass - osc
-    value = 2.0 * (near + far)
-    value = max(value, 0.0)
-    _store_exponent(nu, xi, rel_tol, value)
-    return value
-
-
-def _store_exponent(nu: LevyMeasure, xi: float, rel_tol: float,
-                    value: float):
-    """Keep one exponent in nu's cache, which empties past 100,000 keys."""
-    if len(nu._exponents) > 100_000:
-        nu._exponents.clear()
-    nu._exponents[(xi, rel_tol)] = value
+            steps = (math.pi / xi) * np.arange(_OSC_PANELS + 1)
+            fwd = np.cumsum(_half_periods(osc_f, lo + steps))
+            back = np.cumsum(-_half_periods(osc_f, nu.z_max - steps))
+            osc = (_averaged_limit(fwd, _OSC_PANELS)[0]
+                   + _averaged_limit(back, _OSC_PANELS)[0])
+            far += adaptive(nu.density, lo, nu.z_max,
+                            rel_tol=rel_tol) - float(osc)
+    return max(2.0 * (near + far), 0.0)
 
 
 # Panels of the batched jump exponent, in u = z xi on (0, inf)
@@ -394,7 +386,8 @@ def _shrinking_tail(j: np.ndarray):
 
 def _jump_exponents(nu: LevyMeasure, xis: np.ndarray,
                     rel_tol: float) -> np.ndarray:
-    """``_jump_exponent`` at many xi > 0 at once, stored in the same cache.
+    """``_jump_exponent`` at many xi > 0 at once.  Every value returned
+    goes into nu's cache, which empties past 100,000 keys.
 
     With u = z xi and g(u) = rho(u/xi)/xi, the exponent is
 
@@ -443,11 +436,13 @@ def _jump_exponents(nu: LevyMeasure, xis: np.ndarray,
         out[fits] = np.concatenate([
             _exponent_rows(nu, chunk, rel_tol, lo, hi, kind, shared)
             for chunk in np.array_split(xis[fits], -(-fits.sum() // rows))])
+    cache = nu._exponents
     for i, (xi, value) in enumerate(zip(xis.tolist(), out.tolist())):
         if math.isnan(value):
-            out[i] = _jump_exponent(nu, xi, rel_tol)
-        else:
-            _store_exponent(nu, xi, rel_tol, value)
+            out[i] = value = _jump_exponent(nu, xi, rel_tol)
+        if len(cache) > 100_000:
+            cache.clear()
+        cache[(xi, rel_tol)] = value
     return out
 
 

@@ -49,6 +49,22 @@ def test_u_alpha_flags_existence_failure():
         u_alpha(LevyModel.stable(1.0, 1.0), 1.0, 0.0)
 
 
+def test_envelope_decay_guard_rejects_before_the_transform():
+    # off the origin the guard reads the tail first: stable(1, 1) has a
+    # potential envelope whose octave ratios tend to 1, and a finite jump
+    # measure bounds ReΨ, so the pbar envelope tends to a positive constant
+    with pytest.raises(NonConvergenceError,
+                       match="non-summable tail") as info:
+        u_alpha(LevyModel.stable(1.0, 1.0), 1.0, 0.5)
+    assert info.value.diverged
+    bounded = LevyModel.khintchine(
+        0.0, LevyMeasure.power_law(1.0, 1.5, z_min=1.0, z_max=4.0))
+    with pytest.raises(NonConvergenceError,
+                       match="does not vanish at infinity") as info:
+        pbar_density(bounded, 1.0, 0.5)
+    assert info.value.diverged
+
+
 def test_u_alpha_validates_alpha():
     with pytest.raises(ValueError):
         u_alpha(BROWNIAN, 0.0, 0.0)

@@ -375,7 +375,10 @@ def test_density_is_a_fresh_array_of_the_points_shape(rho, z):
 # float.hex of re_psi at xi = 1, 37.5 and 2^20 and of the integrability
 # certificate (small moment, tail weight), recorded when every point went
 # through the support mask: the route that skips the mask for points all
-# inside must give the same bits
+# inside must give the same bits.  The z-max and table values at 2^20 were
+# recorded with the two-ended half-period rule of the compact support;
+# they lie 3.0e-10 and 2e-16 from the closed forms 3294198.408331 and
+# 1333.144587144191
 _PINNED = [
     (lambda: LevyMeasure.power_law(1.0, 1.2),
      ["0x1.7fc04fd30cc81p+1", "0x1.d033cbc626c65p+7",
@@ -387,11 +390,11 @@ _PINNED = [
      ("0x0.0p+0", "0x1.e879fc1ddca80p-5")),
     (lambda: LevyMeasure.power_law(1.0, 1.0, z_max=8.0),
      ["0x1.6e55f8a52dbb4p+1", "0x1.d63e02c8c5badp+6",
-      "0x1.889bc5c58b378p+21"],
+      "0x1.921fb34642cfbp+21"],
      ("0x1.fffffffffffffp-1", "0x1.bffffffffffffp-1")),
     (lambda: LevyMeasure.from_table(_TABLE_Z, _TABLE_Z ** -2.5),
      ["0x1.8d0f708db0116p+1", "0x1.e6dc48dd386bap+8",
-      "0x1.4d4e9763e4f63p+10"],
+      "0x1.4d4940ea6fee3p+10"],
      ("0x1.cccccccccccccp+0", "0x1.4a8a17cb952dfp-1")),
 ]
 
@@ -492,6 +495,34 @@ def test_jump_exponent_support_starting_far_out():
                      + top ** -1.5 / 1.5)
         got = _jump_exponent(nu, xi, 1e-10)
         assert abs(got - ref) <= 1e-8 * ref + 4.0 * top ** -2.5 / xi
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("xi", [2.0**14, 2.0**20, 2.0**28])
+def test_jump_exponent_compact_support_closed_form(beta, xi):
+    # power_law(1, beta, z_max) at z_max xi / pi > 20,000 half periods.
+    # With U = z_max xi and C = int_0^inf (1 - cos u) u^(-1-beta) du,
+    # RePsi = 2 xi^beta (C - U^-beta / beta + int_U^inf cos u u^(-1-beta) du)
+    # and integration by parts bounds the last integral by 2 U^(-1-beta).
+    # A midpoint rule on the far field was 1.4-2.4% off here.
+    z_max, rel_tol = 8.0, 1e-8
+    m = LevyModel.khintchine(
+        0.0, LevyMeasure.power_law(1.0, beta, z_max=z_max))
+    u = z_max * xi
+    c = math.pi / (2.0 * math.gamma(1.0 + beta)
+                   * math.sin(math.pi * beta / 2.0))
+    want = 2.0 * xi ** beta * (c - u ** -beta / beta)
+    gate = rel_tol * want + 4.0 * xi ** beta * u ** (-1.0 - beta)
+    assert abs(re_psi(m, xi, rel_tol=rel_tol) - want) <= gate
+
+
+def test_khintchine_tail_exponent_sets_the_default_cutoff():
+    # without a Gaussian part the order is read from RePsi(256)/RePsi(64),
+    # and the default cutoff is 256 (alpha + 1)^(1/order)
+    m = LevyModel.khintchine(0.0, LevyMeasure.power_law(1.0, 1.2))
+    assert m.tail_exponent() == pytest.approx(1.2, rel=1e-12)
+    assert SpectralGrid.default(m, 1.0).cutoff == pytest.approx(
+        256.0 * 2.0 ** (1.0 / 1.2), rel=1e-12)
 
 
 def test_canonical_measure_is_built_once():
