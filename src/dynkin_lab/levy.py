@@ -55,7 +55,8 @@ class LevyMeasure:
     small_moment: float = field(default=0.0, compare=False)
     tail_weight: float = field(default=0.0, compare=False)
     # jump exponents by (xi, rel_tol); owned by the measure so that no
-    # value can outlive it or be read by another measure
+    # value can outlive it or be read by another measure.  re_psi alone
+    # reads and writes it, and nothing empties it
     _exponents: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)
 
@@ -152,7 +153,8 @@ def stable_jump_coefficient(beta: float, c: float) -> float:
     """Coefficient of the power-law density matching RePsi = c |xi|^beta.
 
     Uses int_0^inf (1 - cos u) u^(-1-beta) du = (pi/2)/(Gamma(1+beta)
-    sin(pi beta/2)); the beta = 2 limit is purely Gaussian (zero jumps).
+    sin(pi beta/2)).  At beta = 2 the model is purely Gaussian, but the
+    float sin(pi) is 1.2e-16, so this returns about 7.8e-17 c, not 0.
     """
     if not 0.0 < beta <= 2.0:
         raise ValueError("beta must lie in (0,2]")
@@ -192,20 +194,17 @@ class LevyModel:
         return LevyModel("khintchine", sigma2=sigma2, nu=nu)
 
     def canonical_measure(self) -> LevyMeasure:
-        """The jump measure behind the model, for Feller functionals."""
+        """The jump measure behind the model, for Feller functionals;
+        brownian and stable beta = 2 models have none (ValueError)."""
         if self.kind == "khintchine":
             assert self.nu is not None
             return self.nu
-        if self.kind != "stable":
-            raise ValueError(f"K and G are undefined for kind {self.kind!r}")
+        if self.kind != "stable" or self.beta == 2.0:
+            raise ValueError("K and G are undefined without a jump measure "
+                             "(brownian, or stable with beta = 2)")
         if not self._canonical:
-            coeff = stable_jump_coefficient(self.beta, self.c)
-            if coeff == 0.0:  # beta = 2: purely Gaussian
-                nu = LevyMeasure(lambda z: np.zeros_like(np.asarray(z, float)),
-                                 0.0, math.inf)
-            else:
-                nu = LevyMeasure.power_law(coeff, self.beta)
-            self._canonical.append(nu)
+            self._canonical.append(LevyMeasure.power_law(
+                stable_jump_coefficient(self.beta, self.c), self.beta))
         return self._canonical[0]
 
     def has_gaussian_part(self) -> bool:
@@ -386,8 +385,8 @@ def _shrinking_tail(j: np.ndarray):
 
 def _jump_exponents(nu: LevyMeasure, xis: np.ndarray,
                     rel_tol: float) -> np.ndarray:
-    """``_jump_exponent`` at many xi > 0 at once.  Every value returned
-    goes into nu's cache, which empties past 100,000 keys.
+    """``_jump_exponent`` at many xi > 0 at once.  A pure batch: nu's
+    cache is neither read nor written here, since ``re_psi`` alone owns it.
 
     With u = z xi and g(u) = rho(u/xi)/xi, the exponent is
 
@@ -436,13 +435,8 @@ def _jump_exponents(nu: LevyMeasure, xis: np.ndarray,
         out[fits] = np.concatenate([
             _exponent_rows(nu, chunk, rel_tol, lo, hi, kind, shared)
             for chunk in np.array_split(xis[fits], -(-fits.sum() // rows))])
-    cache = nu._exponents
-    for i, (xi, value) in enumerate(zip(xis.tolist(), out.tolist())):
-        if math.isnan(value):
-            out[i] = value = _jump_exponent(nu, xi, rel_tol)
-        if len(cache) > 100_000:
-            cache.clear()
-        cache[(xi, rel_tol)] = value
+    for i in np.flatnonzero(np.isnan(out)).tolist():
+        out[i] = _jump_exponent(nu, float(xis[i]), rel_tol)
     return out
 
 
@@ -496,9 +490,10 @@ def _exponent_rows(nu, xi, rel_tol, lo, hi, kind, shared):
 def re_psi(model: LevyModel, xi, rel_tol: float = 1e-8):
     """RePsi(xi); even, nonnegative, RePsi(0) = 0.  Vectorised over xi.
 
-    For khintchine models the cold |xi| of one call go through
-    ``_jump_exponents`` together; the cached ones are read back.  A
-    non-finite xi is a ValueError there, raised before any quadrature.
+    On khintchine models only ``re_psi`` reads and writes the measure's
+    exponent cache, and nothing empties it: the cold |xi| of one call go
+    through ``_jump_exponents`` together, are stored in one update, and
+    every point is read back.  A non-finite xi is a ValueError there.
     """
     arr = np.asarray(xi, dtype=float)
     # a scalar goes through the array loops too: numpy's scalar power can
@@ -515,13 +510,13 @@ def re_psi(model: LevyModel, xi, rel_tol: float = 1e-8):
         gauss = 0.5 * model.sigma2 * a * a
         cache = model.nu._exponents
         points = a.ravel().tolist()
-        hits = [cache.get((x, rel_tol)) for x in points]
-        cold = sorted({x for x, hit in zip(points, hits)
-                       if hit is None and x != 0.0})
-        fresh = dict(zip(cold, _jump_exponents(
-            model.nu, np.array(cold), rel_tol).tolist())) if cold else {}
-        jumps = np.array([fresh.get(x, 0.0) if hit is None else hit
-                          for x, hit in zip(points, hits)]).reshape(a.shape)
+        cold = sorted({x for x in points
+                       if x != 0.0 and (x, rel_tol) not in cache})
+        if cold:
+            cache.update(zip([(x, rel_tol) for x in cold], _jump_exponents(
+                model.nu, np.array(cold), rel_tol).tolist()))
+        jumps = np.array([cache[(x, rel_tol)] if x != 0.0 else 0.0
+                          for x in points]).reshape(a.shape)
         out = gauss + jumps
     out = out.reshape(arr.shape)
     if np.ndim(xi) == 0:

@@ -214,6 +214,22 @@ def test_cli_localtime_corollary_smoke(tmp_path, capsys):
     assert rows[1].split(",")[-1] == "True"
 
 
+@pytest.mark.parametrize("command,section,message", [
+    ("spde", {"spde": {"circumference": 1, "modes": 17, "alpha": 0.5,
+                       "dt": 0.1}},
+     "torus too small: image-sum correction 121.306%"),
+    ("localtime", {"localtime": {"experiment": "corollary", "beta": 2,
+                                 "alpha": 1, "dt": 0.01, "paths": 40}},
+     "conditioning bins have 15 (S>=t) and 25 (S<t) paths"),
+], ids=["spde-small-torus", "corollary-few-paths"])
+def test_cli_run_error_exit_2(tmp_path, capsys, command, section, message):
+    # a ValueError or OccupancyError raised by the run itself
+    payload = dict(section, model={"kind": "brownian", "kappa": 1.0},
+                   out_dir=str(tmp_path / "out"))
+    assert main([command, "--config", write_cfg(tmp_path, payload)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_verify_suite_kernels(tmp_path, capsys):
     payload = {"model": {"kind": "brownian", "kappa": 1.0},
                "out_dir": str(tmp_path / "out")}

@@ -160,6 +160,10 @@ def test_quadratic_form_rejects_bad_kernel():
         quadratic_form(BROWNIAN, 1.0, mu, "nope")
     with pytest.raises(TypeError):
         quadratic_form(BROWNIAN, 1.0, [(0, 1)], "potential")
+    with pytest.raises(ValueError, match="route must be"):
+        quadratic_form(BROWNIAN, 1.0, mu, "potential", route="grid")
+    with pytest.raises(ValueError, match="unknown kernel kind"):
+        kernel_value(BROWNIAN, "nope", 0.5)
 
 
 def test_green_bound_random_triples():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from dynkin_lab import levy
 from dynkin_lab.fields import SpectralGrid, sample_heat_field, sample_joint
 from dynkin_lab.kernels import (AtomicMeasure, KernelQuery, kernel_value,
                                 pbar_density, spectral_envelope, u_alpha)
@@ -221,8 +222,11 @@ def test_feller_truncated_support():
 
 
 def test_feller_requires_jump_measure():
-    with pytest.raises(ValueError):
-        feller_functions(LevyModel.brownian(1.0), 0.5)
+    # stable beta = 2 is purely Gaussian, though the float sin(pi) makes
+    # its jump coefficient 7.8e-17, not 0
+    for m in (LevyModel.brownian(1.0), LevyModel.stable(2.0, 1.0)):
+        with pytest.raises(ValueError, match="without a jump measure"):
+            feller_functions(m, 0.5)
     with pytest.raises(ValueError):
         feller_functions(LevyModel.stable(1.5, 1.0), -1.0)
 
@@ -523,6 +527,25 @@ def test_khintchine_tail_exponent_sets_the_default_cutoff():
     assert m.tail_exponent() == pytest.approx(1.2, rel=1e-12)
     assert SpectralGrid.default(m, 1.0).cutoff == pytest.approx(
         256.0 * 2.0 ** (1.0 / 1.2), rel=1e-12)
+
+
+def test_exponent_cache_keeps_every_value(monkeypatch):
+    # nothing empties a measure's cache: a second call on more than
+    # 100,000 distinct xi evaluates no row again
+    rows = []
+
+    def doubled(nu, xi, rel_tol, *panels):
+        rows.append(xi.size)
+        return 2.0 * xi
+
+    monkeypatch.setattr(levy, "_exponent_rows", doubled)
+    m = LevyModel.khintchine(0.0, LevyMeasure.power_law(1.0, 1.5))
+    xis = np.linspace(1.0, 2.0, 100_002)
+    first = re_psi(m, xis)
+    assert sum(rows) == xis.size
+    second = re_psi(m, xis)
+    assert sum(rows) == xis.size
+    assert np.array_equal(first, second)
 
 
 def test_canonical_measure_is_built_once():

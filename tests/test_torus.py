@@ -211,6 +211,17 @@ def test_step_stream_contract():
     assert math.copysign(1.0, st.modes[0].imag) == 1.0
 
 
+def test_run_moments_single_step():
+    # t_end = dt has no half-way time: rows at t_end only, no stationarity
+    cfg = TorusConfig(16.0, 17, 2.0, 0.1)
+    report = run_moments(cfg, BROWNIAN, 0.1, 20, [0.0, 4.0], seed=3)
+    assert [(r.t, r.x) for r in report.rows] == [(0.1, 0.0), (0.1, 4.0)]
+    assert report.stationarity_gap is None
+    assert report.stationarity_bound is None
+    exact = point_variance_exact(cfg, BROWNIAN, 0.1)
+    assert all(r.exact_var == exact for r in report.rows)
+
+
 def test_run_moments_rejects_small_torus():
     # image-sum correction above 1% must be refused
     cfg = TorusConfig(2.0, 33, 0.5, 0.1)
