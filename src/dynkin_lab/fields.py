@@ -144,8 +144,7 @@ def discretisation_bias(kind: str, model: LevyModel, alpha: float | None,
                                 derivative_order=derivative_order)
 
     tail2, _ = integral_to_infinity(
-        dens, grid.cutoff, first_edge=2.0 * grid.cutoff, rel_tol=1e-6,
-        context=f"{kind} spectral tail")
+        dens, grid.cutoff, rel_tol=1e-6, context=f"{kind} spectral tail")
     coarse = 2.0 * np.sum(dens(grid.frequencies)) * grid.delta_xi
     fine_grid = SpectralGrid(grid.cutoff, 2 * grid.n_modes)
     fine = 2.0 * np.sum(dens(fine_grid.frequencies)) * fine_grid.delta_xi

@@ -237,8 +237,7 @@ def _integral(f: Callable, lo: float, hi: float, rel_tol: float,
         return dyadic_integral_to_zero(f, hi, rel_tol=rel_tol,
                                        context=context)
     if hi == math.inf:
-        return integral_to_infinity(f, lo, rel_tol=rel_tol,
-                                    first_edge=2.0 * lo, context=context)[0]
+        return integral_to_infinity(f, lo, rel_tol=rel_tol, context=context)[0]
     return adaptive(f, lo, hi, rel_tol=rel_tol)
 
 

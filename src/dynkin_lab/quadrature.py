@@ -75,11 +75,12 @@ def adaptive(f: Callable, a: float, b: float,
 
     A panel is accepted when the whole-panel estimate agrees with the sum of
     its halves; otherwise both halves are pushed, down to ``ADAPTIVE_DEPTH``
-    levels.  Depth exhaustion accepts the refined value (the leftover panel
-    discrepancy is below the panel's own resolution at that point), which is
-    the documented behaviour for integrable endpoint singularities.  The
-    panel budget guards against integrands whose structure the bisection
-    cannot localise (e.g. dense oscillation everywhere); exhausting it is an
+    levels, where the refined value is accepted (integrable endpoint
+    singularities end there).  A panel from 0.0 whose halves read exactly 0
+    is bisected, not accepted: every spectral envelope peaks at xi = 0, so
+    its nodes missed the peak, and a 0 from [0, b] means every node down to
+    b 2^-ADAPTIVE_DEPTH read 0.  Exhausting the panel budget (structure the
+    bisection cannot localise, e.g. dense oscillation everywhere) is an
     error, not a silent truncation.
     """
     if a == b:
@@ -102,7 +103,8 @@ def adaptive(f: Callable, a: float, b: float,
         refined = left + right
         scale = max(scale, abs(total) + abs(refined))
         err = abs(refined - est)
-        if err <= rel_tol * scale or depth >= ADAPTIVE_DEPTH:
+        if depth >= ADAPTIVE_DEPTH or (err <= rel_tol * scale
+                                       and (refined != 0.0 or lo != 0.0)):
             total += refined
         else:
             stack.append((lo, mid, left, depth + 1))
@@ -182,18 +184,16 @@ def _shell_walk(f: Callable, total: float, edge: float, step: float,
 
 def integral_to_infinity(f: Callable, start: float = 0.0,
                          rel_tol: float = 1e-10,
-                         first_edge: float | None = None,
                          context: str = "integral") -> tuple[float, float]:
     """Integrate a (eventually monotone, nonnegative) f on [start, inf).
 
-    Returns ``(value, tail_uncertainty)``.  The base interval
-    [start, first_edge] is handled adaptively, then octaves [E, 2E] below
-    ``OCTAVE_CAP`` are walked by ``_shell_walk`` until the geometric tail
-    extrapolation stabilises; a divergent tail raises
-    :class:`NonConvergenceError`.
+    Returns ``(value, tail_uncertainty)``.  The base interval [start, E]
+    is handled adaptively, with first edge E = 2 start for start > 0 and
+    ``OCTAVE_START`` otherwise; then octaves [E, 2E] below ``OCTAVE_CAP``
+    are walked by ``_shell_walk`` until the geometric tail extrapolation
+    stabilises; a divergent tail raises :class:`NonConvergenceError`.
     """
-    if first_edge is None:
-        first_edge = max(OCTAVE_START, 2.0 * abs(start) + OCTAVE_START)
+    first_edge = 2.0 * start if start > 0.0 else OCTAVE_START
     # octaves E 2^k with E 2^k < OCTAVE_CAP, a power of two
     octaves = math.frexp(OCTAVE_CAP)[1] - math.frexp(first_edge)[1]
     return _shell_walk(f, adaptive(f, start, first_edge, rel_tol=rel_tol),
@@ -242,7 +242,8 @@ def cosine_transform(env: Callable, r: float, rel_tol: float = 1e-9,
     small), after which half-period panels [k*pi/|r|, (k+1)*pi/|r|] are
     accumulated with one Gauss-Legendre panel each; the partial sums
     alternate, and repeated averaging of the last twelve of them supplies
-    the tail limit together with an acceleration-error estimate.
+    the tail limit and the returned bound.  That bound covers the tail
+    only; the head's error is ``adaptive``'s rel_tol.
 
     The averaging is an Abel-type summation: envelopes of polynomial growth
     yield the regularised (distributional) transform value rather than an

@@ -175,8 +175,8 @@ def check_bd2_exact(model, seed, scale, tol_scale):
 def check_spectral_additivity(model, seed, scale, tol_scale):
     worst = 0.0
     for m in _kernel_models(model):
-        for alpha in (0.5, 2.0, 8.0):
-            for t in (0.25, 1.0, 4.0):
+        for alpha in (1e-3, 0.5, 2.0, 8.0):
+            for t in (0.25, 1.0, 4.0, 100.0):
                 prof = variance_profile(m, KernelQuery(alpha, t))
                 gap = abs(prof.varV + prof.varS - prof.varEta) / prof.varEta
                 worst = max(worst, gap)

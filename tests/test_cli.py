@@ -129,6 +129,31 @@ def test_cli_kernel_writes_provenance(tmp_path, capsys):
     assert float(first[3]) == pytest.approx(0.25, abs=1e-8)
 
 
+def test_cli_kernel_narrow_envelopes_are_not_zero(tmp_path, capsys):
+    # at t = 100 or r = 0.001 the pbar and varS envelopes of brownian(1)
+    # miss every node of their first quadrature panel
+    payload = {"model": {"kind": "brownian", "kappa": 1.0},
+               "out_dir": str(tmp_path / "out"),
+               "kernel": {"alphas": [1e-3], "ts": [1.0, 100.0],
+                          "rs": [0.0, 0.001]}}
+    assert main(["kernel", "--config", write_cfg(tmp_path, payload)]) == 0
+
+    def rows(name):
+        text = (tmp_path / "out" / name).read_text()
+        lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
+        return [[float(v) for v in ln.split(",")] for ln in lines[1:]]
+
+    kernels = rows("kernels.csv")
+    assert len(kernels) == 4
+    for _, t, r, _, pbar in kernels:
+        exact = math.exp(-r * r / (8 * t)) / math.sqrt(8 * math.pi * t)
+        assert pbar == pytest.approx(exact, rel=1e-9), (t, r)
+    variances = rows("variances.csv")
+    assert len(variances) == 2
+    for _, t, _, var_v, var_s, var_eta, _ in variances:
+        assert var_v + var_s == pytest.approx(var_eta, rel=1e-9), t
+
+
 def test_cli_synth_deterministic_outputs(tmp_path, capsys):
     payload = {"model": {"kind": "brownian", "kappa": 1.0}, "seed": 5,
                "synth": {"alpha": 2.0, "t": 1.0,

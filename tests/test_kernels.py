@@ -108,6 +108,31 @@ def test_variance_profile_tail_vs_cable_at_halving_time():
             assert prof.varS <= prof.varV + 1e-10
 
 
+def test_pbar_matches_closed_forms_where_the_envelope_is_narrow():
+    # brownian(1): pbar(t, r) = exp(-r^2/8t)/sqrt(8 pi t); its envelope
+    # e^{-2 xi^2 t} has underflowed at every node of a first panel on
+    # [0, 1024] or [0, 8 pi/r] once t is large or r small
+    for t in (0.01, 1.0, 100.0, 1e4):
+        for r in (0.0, 1e-4, 1e-3, 0.01, 0.1, 1.0):
+            exact = math.exp(-r * r / (8 * t)) / math.sqrt(8 * math.pi * t)
+            assert pbar_density(BROWNIAN, t, r) == pytest.approx(
+                exact, rel=1e-9), (t, r)
+    # stable(beta, 1): pbar(t, 0) = Gamma(1 + 1/beta)/(pi (2t)^(1/beta))
+    for beta in (1.2, 1.5, 1.8):
+        for t in (0.01, 1.0, 100.0, 1e4):
+            exact = math.gamma(1 + 1 / beta) / math.pi / (2 * t) ** (1 / beta)
+            assert pbar_density(LevyModel.stable(beta, 1.0), t, 0.0) == \
+                pytest.approx(exact, rel=1e-9), (beta, t)
+
+
+def test_vars_small_lag_near_its_origin_value():
+    for a in (1e-3, 1e-2):
+        origin = kernel_value(BROWNIAN, "varS", 0.0, alpha=a, t=10.0)
+        for r in (1e-3, 0.01):
+            assert kernel_value(BROWNIAN, "varS", r, alpha=a, t=10.0) == \
+                pytest.approx(origin, rel=1e-6), (a, r)
+
+
 def test_spectral_additivity_relative():
     res = check_spectral_additivity(BROWNIAN, 0, 1.0, 1.0)
     assert res.passed, res.detail

@@ -22,6 +22,45 @@ def test_adaptive_endpoint_singularity():
     assert val == pytest.approx(2.0, rel=1e-5)
 
 
+def _narrow_gaussian(x):
+    return np.exp(-1e4 * x * x)
+
+
+def test_narrow_peak_at_origin_is_not_read_as_zero():
+    # every node of [0, 1024] and of its halves misses a peak of width
+    # 0.01 at 0; the head must still be refined toward 0 and find it
+    exact = math.sqrt(math.pi) / 200.0
+    assert adaptive(_narrow_gaussian, 0.0, 1024.0) == pytest.approx(
+        exact, rel=1e-10)
+    assert integral_to_infinity(_narrow_gaussian, 0.0)[0] == pytest.approx(
+        exact, rel=1e-10)
+    r = 0.01
+    assert cosine_transform(_narrow_gaussian, r)[0] == pytest.approx(
+        exact * math.exp(-r * r / 4e4), rel=1e-10)
+
+
+def test_zero_integrand_panel_cost(monkeypatch):
+    calls = []
+    panel = quadrature.gl_panel
+
+    def counting_panel(f, a, b):
+        calls.append((a, b))
+        return panel(f, a, b)
+
+    monkeypatch.setattr(quadrature, "gl_panel", counting_panel)
+
+    def zero(x):
+        return np.zeros_like(x)
+
+    # away from the origin a zero panel is accepted at once
+    assert adaptive(zero, 1.0, 1024.0) == 0.0
+    assert len(calls) == 3
+    calls.clear()
+    # from the origin it is bisected toward 0, one path down to the depth
+    assert adaptive(zero, 0.0, 1024.0) == 0.0
+    assert len(calls) <= 4 * quadrature.ADAPTIVE_DEPTH + 3
+
+
 def test_octave_continuation_power_tail():
     val, err = integral_to_infinity(lambda x: 1.0 / (1.0 + x * x), 0.0)
     assert val == pytest.approx(math.pi / 2.0, rel=1e-9)
