@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -98,10 +99,11 @@ def run_check(cfg: ExperimentConfig) -> int:
 def run_kernel(cfg: ExperimentConfig) -> int:
     sec = cfg.kernel
     prov = _provenance(cfg, "kernel")
+    # p-bar does not depend on alpha: once per (t, r)
+    pbar = functools.cache(lambda t, r: pbar_density(cfg.model, t, r))
     _write_table(cfg, "kernels.csv", [prov], "alpha,t,r,u_alpha,pbar",
                  [(float(alpha), float(t), float(r),
-                   u_alpha(cfg.model, alpha, r),
-                   pbar_density(cfg.model, t, r))
+                   u_alpha(cfg.model, alpha, r), pbar(t, r))
                   for alpha in sec["alphas"] for t in sec["ts"]
                   for r in sec["rs"]])
     rows, summary = [], []

@@ -191,18 +191,18 @@ def u_alpha(model: LevyModel, alpha: float, r: float,
     return kernel_value(model, "potential", r, alpha=alpha, rel_tol=rel_tol)
 
 
-def pbar_density(model: LevyModel, t: float, r: float,
-                 rel_tol: float = 1e-9) -> float:
-    """Transition density of the symmetrised process, spectral form.
+def pbar_density(model: LevyModel, t: float, r: float) -> float:
+    """Transition density of the symmetrised process, spectral form, at
+    ``kernel_value``'s relative tolerance 1e-9.
 
     Nonnegative up to quadrature tolerance; raw values inside (-tol, 0) are
     clamped to zero with a warning.
     """
     if not t > 0:
         raise ValueError("t must be > 0")
-    raw = kernel_value(model, "pbar", r, t=t, rel_tol=rel_tol)
+    raw = kernel_value(model, "pbar", r, t=t)
     if raw < 0.0:
-        tol = max(1e-12, rel_tol * abs(pbar_density(model, t, 0.0))) \
+        tol = max(1e-12, 1e-9 * abs(pbar_density(model, t, 0.0))) \
             if r != 0.0 else 1e-12
         if raw > -tol:
             warnings.warn(f"pbar_density clamped tiny negative value {raw:.3e}"
@@ -250,13 +250,13 @@ def variance_profile(model: LevyModel, query: KernelQuery) -> VarianceProfile:
 
 def quadratic_form(model: LevyModel, alpha: float | None, mu: AtomicMeasure,
                    kernel: str = "potential", t: float | None = None,
-                   route: str = "pairs", rel_tol: float = 1e-9) -> float:
+                   route: str = "pairs") -> float:
     """sum_ij c_i c_j k(x_i - x_j) for the selected scalar kernel.
 
     The operative route ("pairs") double-sums exact kernel quadratures, one
     cosine transform per lag.  The "spectral" route evaluates the same
     bilinear form as (1/pi) int_0^inf env(xi) |mu_hat(xi)|^2 dxi.  Up to
-    ``SPECTRAL_CUTOFF`` ``adaptive`` integrates it at rel_tol octave by
+    ``SPECTRAL_CUTOFF`` ``adaptive`` integrates it at 1e-9 octave by
     octave, so that each octave meets the tolerance against its own
     mass, and its bisection refines the cusp of env at xi = 0 until it
     meets the tolerance.  Beyond the cutoff |mu_hat|^2 is replaced by
@@ -274,8 +274,7 @@ def quadratic_form(model: LevyModel, alpha: float | None, mu: AtomicMeasure,
             for xj_loc, cj in zip(mu.locations, mu.weights):
                 r = abs(xi_loc - xj_loc)
                 if r not in cache:
-                    cache[r] = kernel_value(model, kernel, r, alpha=alpha,
-                                            t=t, rel_tol=rel_tol)
+                    cache[r] = kernel_value(model, kernel, r, alpha=alpha, t=t)
                 total += ci * cj * cache[r]
         return total
     if route == "spectral":
@@ -284,13 +283,13 @@ def quadratic_form(model: LevyModel, alpha: float | None, mu: AtomicMeasure,
         def integrand(xi):
             return env(xi) * mu.fourier_sq(xi)
 
-        # Octaves [0, 1], ..., [cutoff/2, cutoff], each at its own rel_tol:
+        # Octaves [0, 1], ..., [cutoff/2, cutoff], each at its own 1e-9:
         # one call on [0, cutoff] widens the worst route gaps about tenfold,
         # 2.6e-8 -> 2.1e-7 on stable(1.5, 1), 2.7e-10 -> 2.4e-9 on
         # brownian(1), 2.0e-8 -> 1.6e-7 on khintchine(0, power_law(1, 1.5)).
         edges = [0.0, *(2.0**m
                         for m in range(math.frexp(SPECTRAL_CUTOFF)[1]))]
-        body = sum(adaptive(integrand, lo, hi, rel_tol=rel_tol)
+        body = sum(adaptive(integrand, lo, hi, rel_tol=1e-9)
                    for lo, hi in zip(edges, edges[1:])) / math.pi
         # beyond the cutoff |mu_hat|^2 averages to sum c_i^2
         w2 = float(np.sum(mu.weights**2))

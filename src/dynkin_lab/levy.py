@@ -1,10 +1,9 @@
 """Symmetric Levy processes seen through the real part of their exponent.
 
 Every formula in this package depends on the process only through
-RePsi(xi) >= 0, where E exp(i xi X_t) = exp(-t Psi(xi)).  Three model kinds
+RePsi(xi) >= 0, where E exp(i xi X_t) = exp(-t Psi(xi)).  Two model kinds
 are supported:
 
-* ``brownian(kappa)``     RePsi(xi) = kappa xi^2
 * ``stable(beta, c)``     RePsi(xi) = c |xi|^beta, beta in (0, 2]
 * ``khintchine(sigma2, nu)``
                           RePsi(xi) = sigma2 xi^2 / 2
@@ -12,6 +11,7 @@ are supported:
 
 with nu a symmetric jump measure given by its density on (0, inf).  The
 Gaussian coefficient convention sigma2 xi^2 / 2 is the classical one.
+``brownian(kappa)``, RePsi(xi) = kappa xi^2, is ``stable(2, kappa)``.
 """
 
 from __future__ import annotations
@@ -54,9 +54,9 @@ class LevyMeasure:
     z_max: float
     small_moment: float = field(default=0.0, compare=False)
     tail_weight: float = field(default=0.0, compare=False)
-    # jump exponents by (xi, rel_tol); owned by the measure so that no
-    # value can outlive it or be read by another measure.  re_psi alone
-    # reads and writes it, and nothing empties it
+    # jump exponents by xi; owned by the measure so that no value can
+    # outlive it or be read by another measure.  re_psi alone reads and
+    # writes it, and nothing empties it
     _exponents: dict = field(default_factory=dict, init=False, repr=False,
                              compare=False)
 
@@ -164,7 +164,6 @@ def stable_jump_coefficient(beta: float, c: float) -> float:
 @dataclass(frozen=True)
 class LevyModel:
     kind: str
-    kappa: float = 0.0
     beta: float = 0.0
     c: float = 0.0
     sigma2: float = 0.0
@@ -177,7 +176,7 @@ class LevyModel:
     def brownian(kappa: float) -> "LevyModel":
         if not kappa > 0:
             raise ValueError("diffusion coefficient kappa must be > 0")
-        return LevyModel("brownian", kappa=kappa)
+        return LevyModel.stable(2.0, kappa)
 
     @staticmethod
     def stable(beta: float, c: float) -> "LevyModel":
@@ -195,11 +194,11 @@ class LevyModel:
 
     def canonical_measure(self) -> LevyMeasure:
         """The jump measure behind the model, for Feller functionals;
-        brownian and stable beta = 2 models have none (ValueError)."""
+        stable beta = 2 (so brownian) models have none (ValueError)."""
         if self.kind == "khintchine":
             assert self.nu is not None
             return self.nu
-        if self.kind != "stable" or self.beta == 2.0:
+        if self.beta == 2.0:
             raise ValueError("K and G are undefined without a jump measure "
                              "(brownian, or stable with beta = 2)")
         if not self._canonical:
@@ -208,14 +207,11 @@ class LevyModel:
         return self._canonical[0]
 
     def has_gaussian_part(self) -> bool:
-        return (self.kind == "brownian"
-                or (self.kind == "stable" and self.beta == 2.0)
+        return ((self.kind == "stable" and self.beta == 2.0)
                 or (self.kind == "khintchine" and self.sigma2 > 0.0))
 
     def tail_exponent(self) -> float:
         """Estimated growth order of RePsi at large xi (used for defaults)."""
-        if self.kind == "brownian":
-            return 2.0
         if self.kind == "stable":
             return self.beta
         if self.sigma2 > 0:
@@ -486,21 +482,21 @@ def _exponent_rows(nu, xi, rel_tol, lo, hi, kind, shared):
     return np.where(ok, 2.0 * half_value, np.nan)
 
 
-def re_psi(model: LevyModel, xi, rel_tol: float = 1e-8):
+def re_psi(model: LevyModel, xi):
     """RePsi(xi); even, nonnegative, RePsi(0) = 0.  Vectorised over xi.
 
-    On khintchine models only ``re_psi`` reads and writes the measure's
-    exponent cache, and nothing empties it: the cold |xi| of one call go
-    through ``_jump_exponents`` together, are stored in one update, and
-    every point is read back.  A non-finite xi is a ValueError there.
+    The value depends on (model, xi) alone.  On khintchine models only
+    ``re_psi`` reads and writes the measure's exponent cache, keyed by
+    |xi|, and nothing empties it: the cold |xi| of one call go through
+    ``_jump_exponents`` together at relative tolerance 1e-8, are stored
+    in one update, and every point is read back.  A non-finite xi is a
+    ValueError there.
     """
     arr = np.asarray(xi, dtype=float)
     # a scalar goes through the array loops too: numpy's scalar power can
     # round differently in the last bit
     a = np.abs(np.atleast_1d(arr))
-    if model.kind == "brownian":
-        out = model.kappa * a * a
-    elif model.kind == "stable":
+    if model.kind == "stable":
         out = model.c * a ** model.beta
     else:
         assert model.nu is not None
@@ -509,12 +505,13 @@ def re_psi(model: LevyModel, xi, rel_tol: float = 1e-8):
         gauss = 0.5 * model.sigma2 * a * a
         cache = model.nu._exponents
         points = a.ravel().tolist()
-        cold = sorted({x for x in points
-                       if x != 0.0 and (x, rel_tol) not in cache})
+        # set.difference(dict) probes the dict once per point; set - keys
+        # would walk every key of the cache
+        cold = sorted(set(points).difference(cache) - {0.0})
         if cold:
-            cache.update(zip([(x, rel_tol) for x in cold], _jump_exponents(
-                model.nu, np.array(cold), rel_tol).tolist()))
-        jumps = np.array([cache[(x, rel_tol)] if x != 0.0 else 0.0
+            cache.update(zip(cold, _jump_exponents(
+                model.nu, np.array(cold), 1e-8).tolist()))
+        jumps = np.array([cache[x] if x != 0.0 else 0.0
                           for x in points]).reshape(a.shape)
         out = gauss + jumps
     out = out.reshape(arr.shape)
@@ -523,30 +520,32 @@ def re_psi(model: LevyModel, xi, rel_tol: float = 1e-8):
     return out
 
 
-def feller_functions(model: LevyModel, eps: float,
-                     rel_tol: float = 1e-9) -> tuple[float, float]:
+def feller_functions(model: LevyModel, eps: float) -> tuple[float, float]:
     """Truncated second moment K(eps) and tail mass G(eps) of the jumps.
 
-    K(eps) = eps^-2 int_{|z|<=eps} z^2 nu(dz),  G(eps) = nu{|z| > eps}.
-    Defined for khintchine models and for stable models via their canonical
-    measure; purely closed-form Gaussian kinds have no jump measure.
+    K(eps) = eps^-2 int_{|z|<=eps} z^2 nu(dz),  G(eps) = nu{|z| > eps},
+    each by quadrature at relative tolerance 1e-9.  Defined for
+    khintchine models and for stable models via their canonical measure;
+    purely Gaussian models have no jump measure.
     """
     if not eps > 0:
         raise ValueError("eps must be > 0")
     nu = model.canonical_measure()
     k_val = _integral(lambda z: z * z * nu.density(z), nu.z_min,
-                      min(eps, nu.z_max), rel_tol, "K(eps)")
-    g_val = _integral(nu.density, max(eps, nu.z_min), nu.z_max, rel_tol,
+                      min(eps, nu.z_max), 1e-9, "K(eps)")
+    g_val = _integral(nu.density, max(eps, nu.z_min), nu.z_max, 1e-9,
                       "G(eps)")
     return k_val * (2.0 / (eps * eps)), 2.0 * g_val
 
 
 def averaged_exponent(model: LevyModel, xi: float,
                       rel_tol: float = 1e-9) -> float:
-    """Harmonic-analysis average (1/xi) int_0^xi RePsi(z) dz, by quadrature."""
+    """Harmonic-analysis average (1/xi) int_0^xi RePsi(z) dz of the
+    model's one RePsi, by ``adaptive`` at rel_tol.  The tolerance is the
+    average's own: it does not reach RePsi."""
     if not xi > 0:
         raise ValueError("xi must be > 0")
-    return adaptive(lambda z: re_psi(model, z, rel_tol=rel_tol), 0.0, xi,
+    return adaptive(lambda z: re_psi(model, z), 0.0, xi,
                     rel_tol=rel_tol) / xi
 
 

@@ -74,7 +74,7 @@ class PathConfig:
 
 
 def stable_increment(beta: float, c: float, dt: float,
-                     gen: np.random.Generator, size=None):
+                     gen: np.random.Generator, size: int) -> np.ndarray:
     """Symmetric stable increments of the symmetrised process over dt.
 
     Chambers-Mallows-Stuck: with V uniform on (-pi/2, pi/2) and W standard
@@ -92,20 +92,19 @@ def stable_increment(beta: float, c: float, dt: float,
         raise ValueError("beta must lie in (0,2]")
     if not (c > 0 and dt > 0):
         raise ValueError("c and dt must be > 0")
-    n = 1 if size is None else int(size)
     sigma = (2.0 * c * dt) ** (1.0 / beta)
-    v = math.pi * (gen.random(n) - 0.5)
+    v = math.pi * (gen.random(size) - 0.5)
     if beta == 1.0:
         out = sigma * np.tan(v)
     else:
-        w = gen.standard_exponential(n)
+        w = gen.standard_exponential(size)
         if beta == 2.0:
             out = sigma * (2.0 * np.sin(v) * np.sqrt(w))
         else:
             out = sigma * (np.sin(beta * v) / np.cos(v) ** (1.0 / beta)
                            * (np.cos((1.0 - beta) * v) / w)
                            ** ((1.0 - beta) / beta))
-    return float(out[0]) if size is None else out
+    return out
 
 
 def simulate_path(cfg: PathConfig, n_steps: int, gen: np.random.Generator,

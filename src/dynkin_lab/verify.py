@@ -18,7 +18,7 @@ import numpy as np
 from . import fields, localtime, rng, torus
 from .kernels import (AtomicMeasure, KernelQuery, delta_difference,
                       green_bound_constant, quadratic_form, u_alpha,
-                      pbar_density, variance_profile)
+                      pbar_density, spectral_envelope, variance_profile)
 from .quadrature import cosine_transform
 from .levy import (LevyMeasure, LevyModel, averaged_exponent,
                    feller_functions, re_psi, stable_jump_coefficient)
@@ -268,6 +268,7 @@ def check_derivative_variance(model, seed, scale, tol_scale):
     alpha, t = 1.0, 0.5
     reps = max(2000, int(20000 * scale))
     grid = fields.SpectralGrid(64.0, 4096)
+    env = spectral_envelope("varS", m, alpha, t)
     worst = math.inf
     for n in (1, 2, 3, 4):
         vals = fields.ensemble_values(m, "S_derivative", alpha, t, grid,
@@ -275,8 +276,7 @@ def check_derivative_variance(model, seed, scale, tol_scale):
                                       derivative_order=n)[:, 0]
         emp = float(np.mean(vals**2))
         exact = (1.0 / math.pi) * cosine_transform(
-            lambda x: x ** (2 * n) * np.exp(-(alpha + 2 * re_psi(m, x)) * t)
-            / (alpha + 2 * re_psi(m, x)), 0.0)[0]
+            lambda x: x ** (2 * n) * env(x), 0.0)[0]
         bias = fields.discretisation_bias("S", m, alpha, t, grid,
                                           derivative_order=n).total
         se = rng.second_moment_se(emp, reps)

@@ -129,6 +129,26 @@ def test_cli_kernel_writes_provenance(tmp_path, capsys):
     assert float(first[3]) == pytest.approx(0.25, abs=1e-8)
 
 
+def test_cli_kernel_computes_pbar_once_per_t_and_r(tmp_path, capsys,
+                                                   monkeypatch):
+    # p-bar does not depend on alpha: the default 3 alphas x 2 ts x 3 rs
+    # need 6 p-bar values, not 18
+    import dynkin_lab.cli as cli
+    original, calls = cli.pbar_density, []
+
+    def counted(model, t, r):
+        calls.append((t, r))
+        return original(model, t, r)
+
+    monkeypatch.setattr(cli, "pbar_density", counted)
+    payload = dict(MINIMAL, out_dir=str(tmp_path / "out"))
+    assert main(["kernel", "--config", write_cfg(tmp_path, payload)]) == 0
+    sec = parse_config(json.dumps(MINIMAL)).kernel
+    assert len(sec["alphas"]) > 1
+    assert sorted(calls) == sorted((t, r) for t in sec["ts"]
+                                   for r in sec["rs"])
+
+
 def test_cli_kernel_narrow_envelopes_are_not_zero(tmp_path, capsys):
     # at t = 100 or r = 0.001 the pbar and varS envelopes of brownian(1)
     # miss every node of their first quadrature panel

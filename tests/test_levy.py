@@ -16,6 +16,7 @@ from dynkin_lab.localtime import (PathConfig, corollary_test,
                                   discounted_split_check, local_time,
                                   mean_local_times, resolvent_check,
                                   stable_increment)
+from dynkin_lab.quadrature import adaptive
 from dynkin_lab.torus import TorusConfig, run_moments
 from dynkin_lab.verify import check_evenness, check_stable_consistency
 
@@ -145,6 +146,16 @@ def test_brownian_closed_form():
     assert re_psi(m, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("kappa", [1.0, 0.7, 2.5])
+def test_brownian_is_stable_two(kappa):
+    # kappa xi^2 and c |xi|^2.0 rounded differently at kappa = 0.7 and 2.5
+    xs = np.geomspace(1e-3, 1e3, 1000)
+    m = LevyModel.brownian(kappa)
+    assert m == LevyModel.stable(2.0, kappa)
+    assert np.array_equal(re_psi(m, xs),
+                          re_psi(LevyModel.stable(2.0, kappa), xs))
+
+
 def test_evenness_closed_forms():
     # tol_scale 0: the closed forms are exactly even
     for m in (LevyModel.brownian(0.7), LevyModel.stable(1.3, 2.0)):
@@ -174,7 +185,7 @@ def test_khintchine_power_law_scaling():
     # Oracle: the high-resolution quadrature value at xi = 1.
     nu = LevyMeasure.power_law(1.0, 1.5)
     m = LevyModel.khintchine(0.0, nu)
-    base = re_psi(m, 1.0, rel_tol=1e-11)
+    base = _jump_exponent(nu, 1.0, 1e-11)
     for xi in (1.0, 2.0, 4.0, 8.0):
         ratio = re_psi(m, xi) / xi ** 1.5
         assert ratio == pytest.approx(base, rel=1e-4)
@@ -251,6 +262,31 @@ def test_averaged_exponent_vanishes_at_zero():
         val = averaged_exponent(m, 1e-6)
         assert val == pytest.approx(limit_rate, rel=1e-6)
         assert val < 1e-7
+
+
+_KINKED_TABLE = (_TABLE_Z, _TABLE_Z ** -2.5
+                 * (1.0 + 0.5 * np.sin(5.0 * np.log(_TABLE_Z))))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LevyMeasure.power_law(1.0, 1.5, z_max=5.0),
+    lambda: LevyMeasure.from_table(*_KINKED_TABLE)], ids=["z-max", "kinked"])
+@pytest.mark.parametrize("x", [4.0, 64.0, 200.0])
+def test_averaged_exponent_averages_the_models_re_psi(make, x):
+    # the average's tolerance is its own: it averages the one RePsi of
+    # the model, and the measure holds one exponent per xi
+    m = LevyModel.khintchine(0.0, make())
+    got = averaged_exponent(m, x, rel_tol=1e-6)
+    fresh = LevyModel.khintchine(0.0, make())
+    seen = set()
+
+    def f(z):
+        seen.update(np.atleast_1d(z).tolist())
+        return re_psi(fresh, z)
+
+    assert got == adaptive(f, 0.0, x, rel_tol=1e-6) / x
+    re_psi(m, np.array(sorted(seen)))
+    assert len(m.nu._exponents) == len(seen - {0.0})
 
 
 def test_condition_report_stable_good():
@@ -440,7 +476,7 @@ def test_batched_exponents_match_the_oracle(sigma2, make):
     # exact Gaussian part rounds once more, by at most 2^-52 of the sum.
     rel_tol = 1e-8
     xis = np.geomspace(1e-4, 2.0**31, 200)
-    got = re_psi(LevyModel.khintchine(sigma2, make()), xis, rel_tol=rel_tol)
+    got = re_psi(LevyModel.khintchine(sigma2, make()), xis)
     nu = make()
     oracle = np.array([_jump_exponent(nu, float(x), rel_tol / 100.0)
                        for x in xis])
@@ -517,7 +553,7 @@ def test_jump_exponent_compact_support_closed_form(beta, xi):
                    * math.sin(math.pi * beta / 2.0))
     want = 2.0 * xi ** beta * (c - u ** -beta / beta)
     gate = rel_tol * want + 4.0 * xi ** beta * u ** (-1.0 - beta)
-    assert abs(re_psi(m, xi, rel_tol=rel_tol) - want) <= gate
+    assert abs(re_psi(m, xi) - want) <= gate
 
 
 def test_khintchine_tail_exponent_sets_the_default_cutoff():

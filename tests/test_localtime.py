@@ -50,9 +50,9 @@ def test_increment_cauchy_case():
 def test_increment_validation():
     g = rng.stream(2, rng.DOMAIN_PATH, 0)
     with pytest.raises(ValueError):
-        stable_increment(2.5, 1.0, 0.1, g)
+        stable_increment(2.5, 1.0, 0.1, g, size=1)
     with pytest.raises(ValueError):
-        stable_increment(1.5, 0.0, 0.1, g)
+        stable_increment(1.5, 0.0, 0.1, g, size=1)
 
 
 def test_local_time_degenerate_path():
