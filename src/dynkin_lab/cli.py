@@ -151,7 +151,8 @@ def run_synth(cfg: ExperimentConfig) -> int:
         lags = [0.0] + [x_step * m for m in (8, 16, 32, 64)]
     reps = int(sec["replications"])
     pts = np.unique(np.concatenate([[0.0], np.asarray(lags, dtype=float)]))
-    vals = fields.ensemble_values(cfg.model, "eta", alpha, t, grid, pts,
+    # eta's law reads no t: draw it from its own stream pair, not as V + S
+    vals = fields.ensemble_values(cfg.model, "eta", alpha, None, grid, pts,
                                   cfg.seed, reps)
     rows = []
     for r in lags:

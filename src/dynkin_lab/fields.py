@@ -40,8 +40,11 @@ from .kernels import spectral_envelope
 from .levy import LevyModel, re_psi
 from .quadrature import NonConvergenceError, integral_to_infinity
 
-# the part table: amplitude stream components per field density kind; an
-# eta drawn whole (ensemble_values with t=None) reads its own pair
+# the part table: amplitude stream components per field density kind.  An
+# eta drawn whole (ensemble_values with t=None) reads its own pair (6, 7),
+# which no sample function draws.  cli.run_synth's ensemble and
+# verify.check_eta_covariance read eta there, as does an eta
+# scaling_exponent_ensemble with t=None
 _COMPONENTS = {"V": (0, 1), "S": (2, 3), "U": (4, 5), "eta": (6, 7)}
 # the line kernel whose spectral envelope each field's density is
 _KERNEL_OF = {"eta": "potential", "V": "varV", "S": "varS", "U": "varU"}
@@ -273,6 +276,11 @@ def ensemble_values(model: LevyModel, kind: str, alpha: float | None,
     Row r realises the same spectral sum as sample_joint /
     sample_heat_field with replicate=r at the same points (identical
     amplitude draws; values agree to reduction-order rounding, ~1e-12).
+    The one exception is kind eta with t=None: eta's law reads no t, so
+    it is drawn whole from its own stream pair, ``_COMPONENTS["eta"]``,
+    which no sample function draws.  That is half the normals of V + S;
+    cli.run_synth and verify.check_eta_covariance draw eta this way.  With
+    t given, eta is V + S, row for row that of sample_joint.
     ``derivative_order`` applies to kinds S and S_derivative only; any
     other kind with a nonzero order raises ValueError.
 

@@ -291,9 +291,10 @@ def check_eta_covariance(model, seed, scale, tol_scale):
     reps = max(2000, int(10000 * scale))
     grid = fields.SpectralGrid(1024.0, 4096)
     pts = np.array([0.0, 0.5, 1.0])
-    vals = fields.ensemble_values(model, "eta", alpha, 1.0, grid, pts, seed,
+    # eta's law reads no t: draw it from its own stream pair, not as V + S
+    vals = fields.ensemble_values(model, "eta", alpha, None, grid, pts, seed,
                                   reps)
-    bias = fields.discretisation_bias("eta", model, alpha, 1.0, grid).total
+    bias = fields.discretisation_bias("eta", model, alpha, None, grid).total
     worst = math.inf
     for j, r in enumerate(pts):
         emp, se = fields.ensemble_covariance(vals, j)

@@ -4,8 +4,10 @@ import math
 import os
 import re
 
+import numpy as np
 import pytest
 
+from dynkin_lab import fields
 from dynkin_lab.cli import main
 from dynkin_lab.config import ConfigError, parse_config
 from dynkin_lab.fields import DEFAULT_MODES, SpectralGrid
@@ -188,6 +190,34 @@ def test_cli_synth_deterministic_outputs(tmp_path, capsys):
             (tmp_path / "b" / name).read_bytes()
 
 
+def test_cli_synth_draws_eta_from_its_own_pair(tmp_path, capsys,
+                                               drawn_components):
+    # eta's law reads no t, so the ensemble draws eta's own pair (6, 7):
+    # two streams per replicate, and four more for sample_joint's V and S
+    reps, alpha = 20, 2.0
+    model, grid = LevyModel.brownian(1.0), SpectralGrid(64.0, 256)
+    payload = {"model": {"kind": "brownian", "kappa": 1.0}, "seed": 7,
+               "out_dir": str(tmp_path / "out"),
+               "synth": {"alpha": alpha, "t": 1.0,
+                         "grid": {"cutoff": 64.0, "modes": 256},
+                         "x_points": 8, "replications": reps,
+                         "lags": [0.0, 1.0, 0.5]}}
+    assert main(["synth", "--config", write_cfg(tmp_path, payload)]) == 0
+    components = list(drawn_components)
+    assert len(components) == 2 * reps + 4
+    assert sorted(set(components)) == [0, 1, 2, 3, 6, 7]
+    assert components.count(6) == components.count(7) == reps
+    pts = np.array([0.0, 0.5, 1.0])
+    vals = fields.ensemble_values(model, "eta", alpha, None, grid, pts, 7,
+                                  reps)
+    text = (tmp_path / "out" / "ensemble_stats.csv").read_text()
+    rows = [ln.split(",") for ln in text.splitlines()[2:]]
+    assert len(rows) == 3
+    for lag, emp, _, se in rows:
+        j = int(np.flatnonzero(pts == float(lag))[0])
+        assert (float(emp), float(se)) == fields.ensemble_covariance(vals, j)
+
+
 def test_cli_synth_grid_keys(tmp_path, capsys):
     # each grid key overrides its own half of SpectralGrid.default alone
     default = SpectralGrid.default(LevyModel.brownian(1.0), 2.0)
@@ -355,7 +385,7 @@ _OUTPUT_DIGESTS = {
     ("kernel-khintchine", "variances.csv"):
         "1ec9485a9b1d1319136563c8d0c43da3f44fe28d5301e6f823caef28be87e9c1",
     ("synth", "ensemble_stats.csv"):
-        "64bdd35a0dcae913923bec532dbed30c528b048089f46900fb9f68698f775445",
+        "90770c9e8307521b16e276d6364d4240aa5f03b248127b20dc7870acdc4f12ef",
     ("synth", "field_S.csv"):
         "a03d7c622e29cb098f8ba89744c787d3d28a05bc84eb368663815f2a94a06750",
     ("synth", "field_V.csv"):
@@ -365,7 +395,7 @@ _OUTPUT_DIGESTS = {
     ("synth", "synth_summary.txt"):
         "9ed25f93bf6b7304ce91e10443898e6b302832fd812a093e2514d1d37a8b62e3",
     ("synth-derivative", "ensemble_stats.csv"):
-        "baad6baf7ad6104bafab69c6936e6e90cbe8d0d92a1e9a75b7381ee0baeede43",
+        "7da114097339dae0bf93fba42d7a2e6d94e98af70d50a7dad74768190ad67195",
     ("synth-derivative", "field_S.csv"):
         "af340ba93ab836ebb3b2528acfeb0d54882f9141594a84e77e1abc83f3165278",
     ("synth-derivative", "field_S_derivative.csv"):

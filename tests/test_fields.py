@@ -270,19 +270,11 @@ def test_derivative_order_is_checked():
                      derivative_order=-1)
 
 
-def test_derivative_reuses_the_s_draws(monkeypatch):
+def test_derivative_reuses_the_s_draws(drawn_components):
     # V and S draw two streams each; the derivative field reads the S draws
-    components = []
-    normals = fields._mode_normals
-
-    def counted(seed, replicate, component, n_modes, out=None):
-        components.append(component)
-        return normals(seed, replicate, component, n_modes, out=out)
-
-    monkeypatch.setattr(fields, "_mode_normals", counted)
     sample_joint(STABLE, 1.0, 0.5, SpectralGrid(64.0, 128),
                  np.linspace(0.0, 1.0, 5), seed=1, derivative_order=2)
-    assert sorted(components) == [0, 1, 2, 3]
+    assert sorted(drawn_components) == [0, 1, 2, 3]
 
 
 def test_heat_field_variance_small_t():
@@ -315,6 +307,14 @@ def test_covariance_against_kernel_small():
     # 20,000 replicates
     res = check_eta_covariance(BROWNIAN, 23, 2.0, 1.0)
     assert res.passed, res.detail
+
+
+def test_covariance_check_draws_eta_from_its_own_pair(drawn_components):
+    # two streams per replicate, eta's own pair, where V + S took four;
+    # scale 0 gives the floor of 2,000 replicates
+    check_eta_covariance(BROWNIAN, 23, 0.0, 1.0)
+    assert len(drawn_components) == 2 * 2000
+    assert drawn_components.count(6) == drawn_components.count(7) == 2000
 
 
 def test_tail_variance_below_cable_variance_at_halving_time():
