@@ -11,9 +11,9 @@ from .config import ConfigError, ExperimentConfig, parse_config
 from .fields import (BiasReport, FieldSample, SpectralGrid, ensemble_values,
                      increment_scaling_exponent, sample_heat_field,
                      sample_joint, spectral_density)
-from .kernels import (AtomicMeasure, KernelQuery, VarianceProfile,
-                      delta_difference, kernel_value, pbar_density,
-                      quadratic_form, u_alpha, variance_profile)
+from .kernels import (AtomicMeasure, VarianceProfile, delta_difference,
+                      kernel_value, pbar_density, quadratic_form, u_alpha,
+                      variance_profile)
 from .levy import (ConditionReport, LevyMeasure, LevyModel,
                    averaged_exponent, condition_report, feller_functions,
                    re_psi, stable_jump_coefficient)
@@ -33,7 +33,7 @@ __all__ = [
     "AtomicMeasure", "BandwidthError", "BiasReport", "ConditionReport",
     "ConfigError", "CorollaryResult", "DiscountedSplitResult",
     "ExperimentConfig", "FieldSample",
-    "KernelQuery", "LevyMeasure", "LevyModel", "MomentReport", "NonConvergenceError", "OccupancyError", "PathConfig",
+    "LevyMeasure", "LevyModel", "MomentReport", "NonConvergenceError", "OccupancyError", "PathConfig",
     "ResolventResult", "SpectralGrid", "TorusConfig", "TorusState",
     "VarianceProfile", "averaged_exponent", "condition_report",
     "corollary_test", "delta_difference", "discounted_split_check",

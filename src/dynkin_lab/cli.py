@@ -17,13 +17,12 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
 from . import __version__, fields, localtime, torus, verify
 from .config import ConfigError, ExperimentConfig, parse_config
-from .kernels import KernelQuery, u_alpha, pbar_density, variance_profile
+from .kernels import u_alpha, pbar_density, variance_profile
 from .levy import condition_report
 from .quadrature import NonConvergenceError
 
@@ -36,7 +35,11 @@ EXIT_NONCONVERGENT = 3
 def _atomic_write(path: str, text: str):
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-dynkin-")
+    # os.open applies the umask to 0o666, as open(path, "w") does;
+    # tempfile.mkstemp would leave every output at 0o600
+    tmp = os.path.join(directory,
+                       f".tmp-dynkin-{os.getpid()}-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
@@ -99,19 +102,20 @@ def run_check(cfg: ExperimentConfig) -> int:
 def run_kernel(cfg: ExperimentConfig) -> int:
     sec = cfg.kernel
     prov = _provenance(cfg, "kernel")
-    # p-bar does not depend on alpha: once per (t, r)
+    # p-bar does not depend on alpha, nor u_alpha on t: once per (t, r)
+    # and once per (alpha, r)
     pbar = functools.cache(lambda t, r: pbar_density(cfg.model, t, r))
+    u = functools.cache(lambda alpha, r: u_alpha(cfg.model, alpha, r))
     _write_table(cfg, "kernels.csv", [prov], "alpha,t,r,u_alpha,pbar",
-                 [(float(alpha), float(t), float(r),
-                   u_alpha(cfg.model, alpha, r), pbar(t, r))
+                 [(float(alpha), float(t), float(r), u(alpha, r), pbar(t, r))
                   for alpha in sec["alphas"] for t in sec["ts"]
                   for r in sec["rs"]])
     rows, summary = [], []
     for alpha in sec["alphas"]:
         for t in sec["ts"]:
-            prof = variance_profile(
-                cfg.model, KernelQuery(alpha, t,
-                                       tolerance=sec["tolerance"]))
+            # the tolerance only tightens the library's 1e-9
+            prof = variance_profile(cfg.model, alpha, t,
+                                    rel_tol=min(1e-9, sec["tolerance"]))
             rows.append((float(alpha), float(t), *prof, prof.tail_bound))
             summary.append(f"alpha={alpha} t={t}: varU={prof.varU:.6g} "
                            f"varV={prof.varV:.6g} varS={prof.varS:.6g} "

@@ -281,8 +281,8 @@ def ensemble_values(model: LevyModel, kind: str, alpha: float | None,
     which no sample function draws.  That is half the normals of V + S;
     cli.run_synth and verify.check_eta_covariance draw eta this way.  With
     t given, eta is V + S, row for row that of sample_joint.
-    ``derivative_order`` applies to kinds S and S_derivative only; any
-    other kind with a nonzero order raises ValueError.
+    ``derivative_order`` applies to kind S only; any other kind with a
+    nonzero order raises ValueError.
 
     Rows go through in blocks of max(1, _BLOCK_DOUBLES // n_modes), so
     each of the two amplitude buffers holds at most 16 MiB unless a single
@@ -294,16 +294,14 @@ def ensemble_values(model: LevyModel, kind: str, alpha: float | None,
     products.
     """
     n = _derivative_order(derivative_order)
-    if kind not in ("eta", "V", "S", "U", "S_derivative"):
+    if kind not in ("eta", "V", "S", "U"):
         raise ValueError(f"unknown ensemble kind {kind!r}")
-    if n and kind not in ("S", "S_derivative"):
-        raise ValueError(f"derivative_order applies to kinds S and "
-                         f"S_derivative, not {kind!r}")
+    if n and kind != "S":
+        raise ValueError(f"derivative_order applies to kind S, not {kind!r}")
     points = np.asarray(points, dtype=float)
     # eta has the same law for every t; with no t given, draw it from its
     # own spectral density instead of as V + S
-    parts = ("V", "S") if kind == "eta" and t is not None \
-        else (kind.removesuffix("_derivative"),)
+    parts = ("V", "S") if kind == "eta" and t is not None else (kind,)
     mats = []
     for part in parts:
         amp = _amplitudes(part, model, alpha, t, grid, n)[:, None]

@@ -65,29 +65,6 @@ def delta_difference(a: float, b: float) -> AtomicMeasure:
     return AtomicMeasure.from_atoms([(a, 1.0), (b, -1.0)])
 
 
-@dataclass(frozen=True)
-class KernelQuery:
-    """Killing rate, time window, and accuracy budget for moment profiles.
-
-    ``variance_profile`` runs its quadratures at min(1e-9, tolerance), so
-    only a tolerance below 1e-9 changes anything.  The ``kernel`` command
-    sets it from ``kernel.tolerance`` or ``--tol``; its ``kernels.csv``
-    does not read it and always uses 1e-9.
-    """
-
-    alpha: float
-    t: float
-    tolerance: float = 1e-6
-
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be > 0")
-        if not self.t > 0:
-            raise ValueError("t must be > 0")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be > 0")
-
-
 def window(rate, t: float):
     """(1 - exp(-rate t)) / rate, elementwise, with the limit t at rate = 0.
 
@@ -164,18 +141,26 @@ def _envelope_decay_guard(env, kind: str, summable: bool, context: str):
                 diverged=True)
 
 
-def kernel_value(model: LevyModel, kind: str, r: float,
-                 alpha: float | None = None, t: float | None = None,
-                 rel_tol: float = 1e-9) -> float:
-    """Scalar kernel at lag r for the selected kind."""
+def _kernel(model: LevyModel, kind: str, r: float, alpha: float | None,
+            t: float | None, rel_tol: float) -> tuple[float, float]:
+    """Kernel at lag r and the bound of its cosine transform, both / pi."""
+    if not rel_tol > 0:
+        raise ValueError("rel_tol must be > 0")
     env = spectral_envelope(kind, model, alpha, t)
     if r != 0.0:
         _envelope_decay_guard(env, kind, kind in ("potential", "varV",
                                                   "varU"),
                               context=f"{kind} kernel")
-    value, _ = cosine_transform(env, r, rel_tol=rel_tol,
-                                context=f"{kind} kernel")
-    return value / math.pi
+    value, bound = cosine_transform(env, r, rel_tol=rel_tol,
+                                    context=f"{kind} kernel")
+    return value / math.pi, bound / math.pi
+
+
+def kernel_value(model: LevyModel, kind: str, r: float,
+                 alpha: float | None = None, t: float | None = None,
+                 rel_tol: float = 1e-9) -> float:
+    """Scalar kernel at lag r for the selected kind."""
+    return _kernel(model, kind, r, alpha, t, rel_tol)[0]
 
 
 def u_alpha(model: LevyModel, alpha: float, r: float,
@@ -223,29 +208,23 @@ class VarianceProfile:
         return iter((self.varU, self.varV, self.varS, self.varEta))
 
 
-def variance_profile(model: LevyModel, query: KernelQuery) -> VarianceProfile:
+def variance_profile(model: LevyModel, alpha: float, t: float,
+                     rel_tol: float = 1e-9) -> VarianceProfile:
     """Pointwise second moments of U, V, S and the stationary field.
 
-    All four are independent quadratures; varV + varS = varEta is an
-    algebraic identity of the integrands and is left to hold (and be tested)
-    numerically rather than being enforced.
+    The kernels varU, varV, varS and potential at lag 0, each through
+    ``_kernel`` at ``rel_tol``; ``tail_bound`` is the largest of their four
+    bounds.  varV + varS = varEta is an algebraic identity of the
+    integrands and is left to hold (and be tested) numerically rather than
+    being enforced.
     """
-    alpha, t = query.alpha, query.t
-    rel = min(1e-9, query.tolerance)
-    vals = {}
-    bound = 0.0
-    for kind, kwargs in (("varU", dict(t=t)),
-                         ("varV", dict(alpha=alpha, t=t)),
-                         ("varS", dict(alpha=alpha, t=t)),
-                         ("potential", dict(alpha=alpha))):
-        env = spectral_envelope(kind, model, kwargs.get("alpha"),
-                                kwargs.get("t"))
-        value, err = integral_to_infinity(env, 0.0, rel_tol=rel,
-                                          context=f"{kind} profile")
-        vals[kind] = value / math.pi
-        bound = max(bound, err / math.pi)
-    return VarianceProfile(vals["varU"], vals["varV"], vals["varS"],
-                           vals["potential"], bound)
+    if not alpha > 0:
+        raise ValueError("alpha must be > 0")
+    if not t > 0:
+        raise ValueError("t must be > 0")
+    values, bounds = zip(*(_kernel(model, kind, 0.0, alpha, t, rel_tol)
+                           for kind in ("varU", "varV", "varS", "potential")))
+    return VarianceProfile(*values, max(bounds))
 
 
 def quadratic_form(model: LevyModel, alpha: float | None, mu: AtomicMeasure,

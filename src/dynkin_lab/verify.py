@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import fields, localtime, rng, torus
-from .kernels import (AtomicMeasure, KernelQuery, delta_difference,
-                      green_bound_constant, quadratic_form, u_alpha,
-                      pbar_density, spectral_envelope, variance_profile)
+from .kernels import (AtomicMeasure, delta_difference, green_bound_constant,
+                      quadratic_form, u_alpha, pbar_density,
+                      spectral_envelope, variance_profile)
 from .quadrature import cosine_transform
 from .levy import (LevyMeasure, LevyModel, averaged_exponent,
                    feller_functions, re_psi, stable_jump_coefficient)
@@ -121,7 +121,7 @@ def check_existence_sandwich(model, seed, scale, tol_scale):
         for alpha in (0.5, 1.0, 2.0, 4.0, 8.0):
             u2a = u_alpha(m, 2.0 * alpha, 0.0)
             for t in (0.25, 0.5, 1.0, 2.0, 4.0):
-                prof = variance_profile(m, KernelQuery(alpha, t))
+                prof = variance_profile(m, alpha, t)
                 tol = 1e-6 * tol_scale * (1.0 + u2a)
                 worst = min(
                     worst,
@@ -140,7 +140,7 @@ def check_uv_sandwich(model, seed, scale, tol_scale):
     for m in _kernel_models(model):
         for alpha in (0.5, 1.0, 2.0, 4.0, 8.0):
             for t in (0.25, 0.5, 1.0, 2.0, 4.0):
-                prof = variance_profile(m, KernelQuery(alpha, t))
+                prof = variance_profile(m, alpha, t)
                 pairs = [(prof.varV, prof.varU)] + [
                     (quadratic_form(m, alpha, mu, "varV", t=t),
                      quadratic_form(m, alpha, mu, "varU", t=t))
@@ -177,7 +177,7 @@ def check_spectral_additivity(model, seed, scale, tol_scale):
     for m in _kernel_models(model):
         for alpha in (1e-3, 0.5, 2.0, 8.0):
             for t in (0.25, 1.0, 4.0, 100.0):
-                prof = variance_profile(m, KernelQuery(alpha, t))
+                prof = variance_profile(m, alpha, t)
                 gap = abs(prof.varV + prof.varS - prof.varEta) / prof.varEta
                 worst = max(worst, gap)
     return CheckResult("kernels", "spectral-additivity",
@@ -227,7 +227,7 @@ def check_field_determinism(model, seed, scale, tol_scale):
 
 def check_discretisation_consistency(model, seed, scale, tol_scale):
     alpha, t = 2.0, 1.0
-    prof = variance_profile(model, KernelQuery(alpha, t))
+    prof = variance_profile(model, alpha, t)
     worst = 0.0
     for cutoff, modes in ((256.0, 2048), (256.0, 8192), (1024.0, 8192),
                           (4096.0, 32768)):
@@ -271,7 +271,7 @@ def check_derivative_variance(model, seed, scale, tol_scale):
     env = spectral_envelope("varS", m, alpha, t)
     worst = math.inf
     for n in (1, 2, 3, 4):
-        vals = fields.ensemble_values(m, "S_derivative", alpha, t, grid,
+        vals = fields.ensemble_values(m, "S", alpha, t, grid,
                                       np.array([0.0]), seed + n, reps,
                                       derivative_order=n)[:, 0]
         emp = float(np.mean(vals**2))
@@ -454,8 +454,8 @@ def run_suites(suite_names, model: LevyModel, seed: int,
         if name not in SUITES:
             raise ValueError(f"unknown verify suite {name!r}")
         for fn in SUITES[name]:
-            t0 = time.time()
+            t0 = time.perf_counter()
             res = fn(model, seed, paths_scale, tol_scale)
-            res.seconds = time.time() - t0
+            res.seconds = time.perf_counter() - t0
             results.append(res)
     return results

@@ -3,11 +3,13 @@ import json
 import math
 import os
 import re
+import stat
+import time
 
 import numpy as np
 import pytest
 
-from dynkin_lab import fields
+from dynkin_lab import fields, verify
 from dynkin_lab.cli import main
 from dynkin_lab.config import ConfigError, parse_config
 from dynkin_lab.fields import DEFAULT_MODES, SpectralGrid
@@ -149,6 +151,53 @@ def test_cli_kernel_computes_pbar_once_per_t_and_r(tmp_path, capsys,
     assert len(sec["alphas"]) > 1
     assert sorted(calls) == sorted((t, r) for t in sec["ts"]
                                    for r in sec["rs"])
+
+
+def test_cli_kernel_computes_u_alpha_once_per_alpha_and_r(tmp_path, capsys,
+                                                          monkeypatch):
+    # u_alpha does not depend on t: the default 3 alphas x 2 ts x 3 rs
+    # need 9 u_alpha values, not 18
+    import dynkin_lab.cli as cli
+    original, calls = cli.u_alpha, []
+
+    def counted(model, alpha, r):
+        calls.append((alpha, r))
+        return original(model, alpha, r)
+
+    monkeypatch.setattr(cli, "u_alpha", counted)
+    payload = dict(MINIMAL, out_dir=str(tmp_path / "out"))
+    assert main(["kernel", "--config", write_cfg(tmp_path, payload)]) == 0
+    sec = parse_config(json.dumps(MINIMAL)).kernel
+    assert len(sec["ts"]) > 1
+    assert sorted(calls) == sorted((a, r) for a in sec["alphas"]
+                                   for r in sec["rs"])
+
+
+def test_cli_outputs_follow_the_umask(tmp_path, capsys):
+    # written as open(path, "w") would write them: 0o666 less the umask
+    payload = {"model": {"kind": "brownian", "kappa": 1.0},
+               "out_dir": str(tmp_path / "out"),
+               "kernel": {"alphas": [1.0], "ts": [1.0], "rs": [0.0]}}
+    cfg = write_cfg(tmp_path, payload)
+    previous = os.umask(0o022)
+    try:
+        assert main(["kernel", "--config", cfg]) == 0
+    finally:
+        os.umask(previous)
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode)
+             for path in (tmp_path / "out").iterdir()}
+    assert modes == {"kernels.csv": 0o644, "variances.csv": 0o644,
+                     "kernel_summary.txt": 0o644}
+
+
+def test_verify_times_checks_on_a_monotonic_clock(monkeypatch):
+    # a wall clock that steps back must not make a check's time negative
+    wall = iter(range(1000, 0, -1))
+    monkeypatch.setattr(time, "time", lambda: float(next(wall)))
+    monkeypatch.setitem(verify.SUITES, "clock", [
+        lambda *args: verify.CheckResult("clock", "noop", True, "")])
+    results = verify.run_suites(["clock"], LevyModel.brownian(1.0), 1)
+    assert [r.seconds >= 0.0 for r in results] == [True]
 
 
 def test_cli_kernel_narrow_envelopes_are_not_zero(tmp_path, capsys):

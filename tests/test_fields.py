@@ -10,7 +10,7 @@ from dynkin_lab.fields import (FieldSample, SpectralGrid, ensemble_values,
                                increment_scaling_exponent, sample_heat_field,
                                sample_joint, scaling_exponent_ensemble,
                                spectral_density, structure_function_exact)
-from dynkin_lab.kernels import KernelQuery, spectral_envelope, variance_profile
+from dynkin_lab.kernels import spectral_envelope, variance_profile
 from dynkin_lab.levy import LevyModel
 from dynkin_lab.quadrature import NonConvergenceError
 from dynkin_lab.verify import (check_discretisation_consistency,
@@ -216,12 +216,12 @@ _ENSEMBLE_PINS = {
         [0.35546007458324275, 0.1421634177182574],
         [0.11231935948639171, -0.17429894637064375],
         [-0.8265407018867909, -0.9576728411952053]],
-    ("S_derivative", 0.5, 2, 3): [
+    ("S", 0.5, 2, 3): [
         [0.07759875300909533, -0.0989371009126534],
         [0.09832453709824093, 0.06893462476019474],
         [-0.20916095821073502, -0.06368741838726963],
         [-0.1601090264635198, 0.2484803528077199]],
-    ("S_derivative", 0.5, 2, 512): [
+    ("S", 0.5, 2, 512): [
         [0.07759875300909533, -0.09893710091265338],
         [0.09832453709824093, 0.06893462476019474],
         [-0.20916095821073505, -0.06368741838726964],
@@ -261,10 +261,9 @@ def test_derivative_order_is_checked():
         with pytest.raises(ValueError, match="derivative_order"):
             ensemble_values(STABLE, kind, alpha, t, grid, pts, 1, 2,
                             derivative_order=2)
-    for kind in ("S", "S_derivative"):
-        with pytest.raises(ValueError, match="derivative_order"):
-            ensemble_values(STABLE, kind, 1.0, 0.5, grid, pts, 1, 2,
-                            derivative_order=-1)
+    with pytest.raises(ValueError, match="derivative_order"):
+        ensemble_values(STABLE, "S", 1.0, 0.5, grid, pts, 1, 2,
+                        derivative_order=-1)
     with pytest.raises(ValueError, match="derivative_order"):
         sample_joint(STABLE, 1.0, 0.5, grid, pts, seed=1,
                      derivative_order=-1)
@@ -290,7 +289,7 @@ def test_heat_field_variance_matches_profile():
     vals = ensemble_values(STABLE, "U", None, 1.0, grid, np.array([0.0]),
                            17, reps)
     emp = float(np.mean(vals**2))
-    exact = variance_profile(STABLE, KernelQuery(1.0, 1.0)).varU
+    exact = variance_profile(STABLE, 1.0, 1.0).varU
     bias = fields.discretisation_bias("U", STABLE, None, 1.0, grid).total
     se = emp * math.sqrt(2.0 / reps)
     assert abs(emp - exact) <= 3 * se + bias

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dynkin_lab.kernels import (AtomicMeasure, KernelQuery, delta_difference,
+from dynkin_lab.kernels import (AtomicMeasure, _kernel, delta_difference,
                                 kernel_value, pbar_density, quadratic_form,
                                 u_alpha, variance_profile, window)
 from dynkin_lab.levy import LevyMeasure, LevyModel, stable_jump_coefficient
@@ -89,13 +89,13 @@ def test_pbar_far_lag_nonnegative():
 
 
 def test_variance_profile_brownian():
-    prof = variance_profile(BROWNIAN, KernelQuery(2.0, 1.0))
+    prof = variance_profile(BROWNIAN, 2.0, 1.0)
     assert prof.varU == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-8)
     assert prof.varV + prof.varS == pytest.approx(prof.varEta, rel=1e-10)
 
 
 def test_variance_profile_long_time_limits():
-    prof = variance_profile(BROWNIAN, KernelQuery(2.0, 40.0))
+    prof = variance_profile(BROWNIAN, 2.0, 40.0)
     assert prof.varV == pytest.approx(0.25, rel=1e-8)
     assert prof.varS == pytest.approx(0.0, abs=1e-12)
 
@@ -104,7 +104,7 @@ def test_variance_profile_tail_vs_cable_at_halving_time():
     for m in (BROWNIAN, STABLE):
         for alpha in (0.5, 1.0, 4.0):
             t = math.log(2.0) / alpha
-            prof = variance_profile(m, KernelQuery(alpha, t))
+            prof = variance_profile(m, alpha, t)
             assert prof.varS <= prof.varV + 1e-10
 
 
@@ -201,13 +201,26 @@ def test_tail_component_smoother_random_measures():
     assert res.passed, res.detail
 
 
-def test_kernel_query_validation():
-    with pytest.raises(ValueError):
-        KernelQuery(0.0, 1.0)
-    with pytest.raises(ValueError):
-        KernelQuery(1.0, -1.0)
-    with pytest.raises(ValueError):
-        KernelQuery(1.0, 1.0, tolerance=0.0)
+def test_variance_profile_validation():
+    with pytest.raises(ValueError, match="alpha must be > 0"):
+        variance_profile(BROWNIAN, 0.0, 1.0)
+    with pytest.raises(ValueError, match="t must be > 0"):
+        variance_profile(BROWNIAN, 1.0, -1.0)
+    with pytest.raises(ValueError, match="rel_tol must be > 0"):
+        variance_profile(BROWNIAN, 1.0, 1.0, rel_tol=0.0)
+
+
+@pytest.mark.parametrize("model", [
+    BROWNIAN, STABLE,
+    LevyModel.khintchine(0.0, LevyMeasure.power_law(1.0, 1.5))])
+def test_variance_profile_is_the_kernels_at_lag_zero(model):
+    alpha, t = 0.5, 1.0
+    prof = variance_profile(model, alpha, t)
+    kinds = ("varU", "varV", "varS", "potential")
+    assert tuple(prof) == tuple(
+        kernel_value(model, kind, 0.0, alpha=alpha, t=t) for kind in kinds)
+    assert prof.tail_bound == max(
+        _kernel(model, kind, 0.0, alpha, t, 1e-9)[1] for kind in kinds)
 
 
 def test_kernel_value_matches_u_alpha():

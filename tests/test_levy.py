@@ -6,8 +6,8 @@ import pytest
 
 from dynkin_lab import levy
 from dynkin_lab.fields import SpectralGrid, sample_heat_field, sample_joint
-from dynkin_lab.kernels import (AtomicMeasure, KernelQuery, kernel_value,
-                                pbar_density, spectral_envelope, u_alpha)
+from dynkin_lab.kernels import (AtomicMeasure, kernel_value, pbar_density,
+                                spectral_envelope, u_alpha, variance_profile)
 from dynkin_lab.levy import (INCONCLUSIVE, SATISFIED, VIOLATED, LevyMeasure,
                              LevyModel, _jump_exponent, averaged_exponent,
                              condition_report, feller_functions, re_psi,
@@ -53,14 +53,17 @@ _KHIN = LevyModel.khintchine(0.0, LevyMeasure.power_law(1.0, 1.2))
     (lambda: TorusConfig(16.0, 33, _NAN, 0.1), "alpha must be >= 0"),
     (lambda: TorusConfig(16.0, 33, 1.0, _NAN), "dt must be > 0"),
     (lambda: SpectralGrid(_NAN, 16), "cutoff must be > 0"),
-    (lambda: KernelQuery(_NAN, 1.0), "alpha must be > 0"),
-    (lambda: KernelQuery(1.0, _NAN), "t must be > 0"),
-    (lambda: KernelQuery(1.0, 1.0, tolerance=_NAN), "tolerance must be > 0"),
+    (lambda: variance_profile(_BROWNIAN, _NAN, 1.0), "alpha must be > 0"),
+    (lambda: variance_profile(_BROWNIAN, 1.0, _NAN), "t must be > 0"),
+    (lambda: variance_profile(_BROWNIAN, 1.0, 1.0, rel_tol=_NAN),
+     "rel_tol must be > 0"),
     (lambda: spectral_envelope("potential", _BROWNIAN, _NAN, None),
      "needs alpha > 0"),
     (lambda: spectral_envelope("pbar", _BROWNIAN, None, _NAN),
      "needs t > 0"),
     (lambda: u_alpha(_BROWNIAN, _NAN, 0.0), "alpha must be > 0"),
+    (lambda: u_alpha(_BROWNIAN, 1.0, 1.0, rel_tol=_NAN),
+     "rel_tol must be > 0"),
     (lambda: pbar_density(_BROWNIAN, _NAN, 0.0), "t must be > 0"),
     (lambda: sample_joint(_BROWNIAN, _NAN, 1.0, _GRID, [0.0], 1),
      "need alpha > 0 and t > 0"),
@@ -117,10 +120,10 @@ _KHIN = LevyModel.khintchine(0.0, LevyMeasure.power_law(1.0, 1.2))
      "must be finite"),
 ], ids=["brownian-kappa", "stable-c", "khintchine-sigma2", "path-c",
         "path-dt", "path-eps", "torus-circumference", "torus-alpha",
-        "torus-dt", "grid-cutoff", "query-alpha", "query-t",
-        "query-tolerance", "envelope-alpha", "envelope-t", "u-alpha",
-        "pbar-t", "joint-alpha", "joint-t", "heat-t", "increment-c",
-        "increment-dt", "local-time-eps", "resolvent-alpha",
+        "torus-dt", "grid-cutoff", "profile-alpha", "profile-t",
+        "profile-rel-tol", "envelope-alpha", "envelope-t", "u-alpha",
+        "u-alpha-rel-tol", "pbar-t", "joint-alpha", "joint-t", "heat-t",
+        "increment-c", "increment-dt", "local-time-eps", "resolvent-alpha",
         "corollary-alpha", "corollary-t", "split-alpha", "split-t",
         "horizon", "later-horizon", "torus-t-end", "condition-alpha",
         "feller-eps", "averaged-xi", "power-law-coeff", "support-z-min",
