@@ -38,7 +38,7 @@ import numpy as np
 from . import rng
 from .kernels import spectral_envelope
 from .levy import LevyModel, re_psi
-from .quadrature import NonConvergenceError, integral_to_infinity
+from .quadrature import integral_to_infinity
 
 # the part table: amplitude stream components per field density kind.  An
 # eta drawn whole (ensemble_values with t=None) reads its own pair (6, 7),

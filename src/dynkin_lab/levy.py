@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -68,15 +69,16 @@ class LevyMeasure:
         rho must be elementwise.  The measure's ``density(z)`` returns a
         fresh, writable float array of z's shape, sharing no memory with
         z, that is zero outside the open support; callers may scale it in
-        place.  A NaN or negative value of rho raises ValueError.
+        place.  A NaN or negative value of rho raises ValueError.  The
+        support mask is built only when z.min() or z.max() is not inside.
         """
         if not 0 <= z_min < z_max:
             raise ValueError("support must satisfy 0 <= z_min < z_max")
 
         def clipped(z):
             z = np.asarray(z, dtype=float)
-            inside = (z > z_min) & (z < z_max)
-            if inside.all():
+            # a NaN makes min or max NaN and fails the test
+            if z.size and z.min() > z_min and z.max() < z_max:
                 # every point inside: rho's own values, with no gather or
                 # scatter; copied only when rho returned a scalar, a view
                 # of z or a read-only array
@@ -85,6 +87,7 @@ class LevyMeasure:
                         or np.may_share_memory(vals, z)):
                     out = np.array(np.broadcast_to(vals, z.shape))
             else:
+                inside = (z > z_min) & (z < z_max)
                 out = np.zeros_like(z)
                 vals = np.asarray(rho(z[inside]), dtype=float)
                 out[inside] = vals
@@ -119,8 +122,13 @@ class LevyMeasure:
         if z_min == 0.0 and beta >= 2.0:
             raise ValueError("power-law index beta must be < 2 when the "
                              "density reaches the origin")
-        return LevyMeasure.from_density(
-            lambda z: coeff * z ** (-1.0 - beta), z_min, z_max)
+
+        def rho(z):
+            out = z ** (-1.0 - beta)
+            out *= coeff
+            return out
+
+        return LevyMeasure.from_density(rho, z_min, z_max)
 
     @staticmethod
     def from_table(z: np.ndarray, rho: np.ndarray) -> "LevyMeasure":
@@ -332,12 +340,15 @@ _SPLIT_NODES = np.concatenate([_GL_NODES, 0.5 * (_GL_NODES - 1.0),
 _SPLIT_WEIGHTS = np.concatenate([_GL_WEIGHTS, 0.5 * _GL_WEIGHTS,
                                  0.5 * _GL_WEIGHTS])[:, None, None]
 _NEAR, _MASS, _OSC = 0, 1, 2
+# each thread's node buffer of _CHUNK_DOUBLES, made on first use
+_workspace = threading.local()
 
 
-def _nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _nodes(lo: np.ndarray, hi: np.ndarray, out=None) -> np.ndarray:
     """Nodes of the panels [lo, hi] (shape (rows, panels)) and of their
-    halves, node-major: shape (48, rows, panels), 16 per panel."""
-    u = 0.5 * (hi - lo) * _SPLIT_NODES
+    halves, node-major: shape (48, rows, panels), 16 per panel; written
+    into ``out`` when given."""
+    u = np.multiply(0.5 * (hi - lo), _SPLIT_NODES, out=out)
     u += 0.5 * (lo + hi)
     return u
 
@@ -368,10 +379,10 @@ def _panel_table():
 
 
 def _shrinking_tail(j: np.ndarray):
-    """``quadrature._geometric_tail`` past the last of each row of a
-    (rows, n) run of shrinking terms; a row whose last term is 0 has an
-    exact zero tail.  Returns (tail, uncertainty, ok)."""
-    last, prev, prev2 = j[:, -1], j[:, -2], j[:, -3]
+    """``quadrature._geometric_tail`` past the last term of each run of
+    shrinking terms along the last axis of j; a run whose last term is 0
+    has an exact zero tail.  Returns (tail, uncertainty, ok)."""
+    last, prev, prev2 = j[..., -1], j[..., -2], j[..., -3]
     with np.errstate(divide="ignore", invalid="ignore"):
         tail, unc, ok = _geometric_tail(last, last / prev, prev / prev2)
     zero = last == 0.0
@@ -394,8 +405,11 @@ def _jump_exponents(nu: LevyMeasure, xis: np.ndarray,
     per row to the support [z_min xi, z_max xi]; the trigonometric
     factors of the unclipped ones are computed once for all rows.  Each
     panel is a Gauss-Legendre panel and its two halves, and rows go
-    through in chunks of at most ``_CHUNK_DOUBLES`` nodes.  A row is
-    accepted when, with tol = rel_tol times its value:
+    through in chunks of at most ``_CHUNK_DOUBLES`` nodes, written into
+    one buffer that each thread keeps for all its calls.  The buffer is
+    off the thread-local while this call uses it, so a density that
+    itself calls ``re_psi`` makes its own.  A row is accepted when, with
+    tol = rel_tol times its value:
 
     * on every panel the halves agree with the whole panel within tol,
       as in ``adaptive``;
@@ -427,26 +441,38 @@ def _jump_exponents(nu: LevyMeasure, xis: np.ndarray,
     out = np.full(xis.size, np.nan)
     if fits.any():
         rows = max(1, _CHUNK_DOUBLES // shared.size)
+        buf, _workspace.buf = getattr(_workspace, "buf", None), None
+        if buf is None:
+            buf = np.empty(_CHUNK_DOUBLES)
         out[fits] = np.concatenate([
-            _exponent_rows(nu, chunk, rel_tol, lo, hi, kind, shared)
+            _exponent_rows(nu, chunk, rel_tol, lo, hi, kind, shared, buf)
             for chunk in np.array_split(xis[fits], -(-fits.sum() // rows))])
+        _workspace.buf = buf
     for i in np.flatnonzero(np.isnan(out)).tolist():
         out[i] = _jump_exponent(nu, float(xis[i]), rel_tol)
     return out
 
 
-def _exponent_rows(nu, xi, rel_tol, lo, hi, kind, shared):
-    """Exponents of one chunk of rows; NaN marks a rejected row."""
-    z_lo, z_hi = nu.z_min * xi[:, None], nu.z_max * xi[:, None]
-    row_lo, row_hi = np.clip(lo, z_lo, z_hi), np.clip(hi, z_lo, z_hi)
+def _exponent_rows(nu, xi, rel_tol, lo, hi, kind, shared, buf):
+    """Exponents of one chunk of rows; NaN marks a rejected row.  The
+    nodes go into ``buf`` and the density's own output is worked on in
+    place; on a support of (0, inf) no panel is clipped."""
     inv = (1.0 / xi)[:, None]
-    vals = np.asarray(nu.density(_nodes(row_lo * inv, row_hi * inv)),
-                      dtype=float)
-    r, p = np.nonzero((row_lo != lo) | (row_hi != hi))
-    moved = vals[:, r, p] * _factors(
-        _nodes(row_lo[r, p], row_hi[r, p])[:, 0], kind[p])
+    clipped = nu.z_min > 0.0 or nu.z_max < math.inf
+    row_lo, row_hi = lo, hi
+    if clipped:
+        z_lo, z_hi = nu.z_min * xi[:, None], nu.z_max * xi[:, None]
+        row_lo, row_hi = np.clip(lo, z_lo, z_hi), np.clip(hi, z_lo, z_hi)
+    nodes = buf[:xi.size * shared.size].reshape(-1, xi.size, lo.size)
+    vals = np.asarray(nu.density(
+        _nodes(row_lo * inv, row_hi * inv, out=nodes)), dtype=float)
+    if clipped:
+        r, p = np.nonzero((row_lo != lo) | (row_hi != hi))
+        moved = vals[:, r, p] * _factors(
+            _nodes(row_lo[r, p], row_hi[r, p])[:, 0], kind[p])
     vals *= shared
-    vals[:, r, p] = moved
+    if clipped:
+        vals[:, r, p] = moved
     vals *= _SPLIT_WEIGHTS
     sums = vals.reshape(3, 16, *vals.shape[1:]).sum(axis=1)
     # g(u) = rho(u/xi)/xi: the 1/xi goes on the panel sums
@@ -461,22 +487,22 @@ def _exponent_rows(nu, xi, rel_tol, lo, hi, kind, shared):
     terms = refined[:, n_mass:]
 
     # a positive z_min xi lies above the last shell, and a finite z_max xi
-    # inside the half periods: those sums are complete, with no tail
-    near_tail = near_unc = mass_tail = mass_unc = osc_bound = 0.0
-    near_ok = far_ok = True
-    if nu.z_min == 0.0:
-        near_tail, near_unc, near_ok = _shrinking_tail(near)
+    # inside the half periods: those sums are complete, with no tail, and
+    # go in as zero runs.  The two tails are one elementwise pass
+    zero_run = np.zeros((xi.size, 3))
+    tail, unc, tail_ok = _shrinking_tail(np.stack([
+        near[:, -3:] if nu.z_min == 0.0 else zero_run,
+        mass[:, -3:] if nu.z_max == math.inf else zero_run]))
     partials = np.cumsum(terms, axis=1)
-    osc = partials[:, -1]
+    osc, osc_bound = partials[:, -1], 0.0
     if nu.z_max == math.inf:
-        mass_tail, mass_unc, far_ok = _shrinking_tail(mass)
         # the sums end at u = (_OSC_PANELS + 1) pi
         osc, osc_bound = _averaged_limit(partials, _OSC_PANELS + 1)
-    half_value = near.sum(axis=1) + near_tail + bridge + mass.sum(axis=1) \
-        + mass_tail - osc
+    half_value = near.sum(axis=1) + tail[0] + bridge + mass.sum(axis=1) \
+        + tail[1] - osc
     with np.errstate(invalid="ignore"):
         tol = rel_tol * half_value
-        ok = (near_ok & far_ok & (near_unc <= tol) & (mass_unc <= tol)
+        ok = (tail_ok.all(axis=0) & np.all(unc <= tol, axis=0)
               & (osc_bound <= tol) & np.all(err <= tol[:, None], axis=1)
               & np.isfinite(half_value) & (half_value > 0.0))
     return np.where(ok, 2.0 * half_value, np.nan)

@@ -206,13 +206,11 @@ def _averaged_tail(row: np.ndarray):
 
     Returns the accelerated limit and the magnitude of the last averaging
     update, which bounds the acceleration error for alternating series with
-    slowly varying terms.
+    slowly varying terms; that update is taken once, after the last pass.
     """
     while row.shape[-1] > 1:
-        nxt = 0.5 * (row[..., :-1] + row[..., 1:])
-        delta = np.abs(nxt[..., -1] - row[..., -1])
-        row = nxt
-    return row[..., 0], delta
+        prev, row = row, 0.5 * (row[..., :-1] + row[..., 1:])
+    return row[..., 0], np.abs(row[..., -1] - prev[..., -1])
 
 
 def _averaged_limit(partials: np.ndarray, k: int):

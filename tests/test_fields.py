@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dynkin_lab import cli, fields, rng
-from dynkin_lab.fields import (FieldSample, SpectralGrid, ensemble_values,
+from dynkin_lab.fields import (SpectralGrid, ensemble_values,
                                increment_scaling_exponent, sample_heat_field,
                                sample_joint, scaling_exponent_ensemble,
                                spectral_density, structure_function_exact)

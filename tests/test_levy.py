@@ -1,5 +1,7 @@
 import gc
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from dynkin_lab import levy
 from dynkin_lab.fields import SpectralGrid, sample_heat_field, sample_joint
 from dynkin_lab.kernels import (AtomicMeasure, kernel_value, pbar_density,
                                 spectral_envelope, u_alpha, variance_profile)
-from dynkin_lab.levy import (INCONCLUSIVE, SATISFIED, VIOLATED, LevyMeasure,
+from dynkin_lab.levy import (SATISFIED, VIOLATED, LevyMeasure,
                              LevyModel, _jump_exponent, averaged_exponent,
                              condition_report, feller_functions, re_psi,
                              stable_jump_coefficient)
@@ -399,8 +401,12 @@ def test_measure_rejects_nan_density():
                          ids=["scalar", "identity"])
 @pytest.mark.parametrize("z", [np.array([0.7, 1.0, 1.9]),
                                np.array([[0.1, 1.0], [1.5, 2.0]]),
-                               np.array(1.2)],
-                         ids=["inside", "straddling", "zero-d"])
+                               np.array(1.2),
+                               np.array([0.7, np.nan, 1.9]),
+                               np.array([]),
+                               np.array([0.5, 1.0, 2.0])],
+                         ids=["inside", "straddling", "zero-d", "nan",
+                              "empty", "support-edges"])
 def test_density_is_a_fresh_array_of_the_points_shape(rho, z):
     # callers scale the density in place: it must be writable and must
     # not alias the points, even when rho returns a scalar or z itself
@@ -412,7 +418,7 @@ def test_density_is_a_fresh_array_of_the_points_shape(rho, z):
     want = np.where((z > 0.5) & (z < 2.0), rho(z), 0.0)
     assert np.array_equal(out, want)
     out *= 3.0
-    assert np.array_equal(z, before)
+    assert np.array_equal(z, before, equal_nan=True)
 
 
 # float.hex of re_psi at xi = 1, 37.5 and 2^20 and of the integrability
@@ -500,6 +506,60 @@ def test_batched_exponents_do_not_depend_on_call_order(sigma2, make):
                    -xis[::-1].reshape(6, 10))
     assert np.array_equal(whole, singles)
     assert np.array_equal(whole, block.ravel()[::-1])
+
+
+_BATCHES = (1, 10, 3, 340)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: LevyMeasure.power_law(1.0, 1.2),
+    lambda: LevyMeasure.power_law(1.0, 1.5, z_min=5.0),
+    lambda: LevyMeasure.power_law(1.0, 0.5, z_min=0.5, z_max=8.0)],
+    ids=["power-law", "z-min", "z-min-z-max"])
+def test_reused_node_buffer_keeps_every_bit(make):
+    # each thread writes every chunk's nodes into the one buffer it keeps:
+    # chunks of other sizes before, in between or on another thread at the
+    # same time must leave no trace in a value
+    xis = np.geomspace(1e-3, 2.0**30, sum(_BATCHES))
+    whole = re_psi(LevyModel.khintchine(0.0, make()), xis)
+    for sizes in (_BATCHES, _BATCHES[::-1]):
+        model = LevyModel.khintchine(0.0, make())
+        parts = np.split(xis, np.cumsum(sizes)[:-1])
+        assert np.array_equal(
+            np.concatenate([re_psi(model, part) for part in parts]), whole)
+    models = [LevyModel.khintchine(0.0, make()) for _ in range(2)]
+    start = threading.Barrier(2, timeout=60)
+
+    def cold(model):
+        start.wait()
+        return re_psi(model, xis)
+
+    with ThreadPoolExecutor(2) as pool:
+        for got in pool.map(cold, models):
+            assert np.array_equal(got, whole)
+
+
+def test_density_calling_re_psi_keeps_its_own_nodes():
+    # rho evaluates a cold exponent of another model while the outer
+    # chunk's nodes, its argument, are in use: the inner batch must write
+    # its nodes elsewhere
+    inner = LevyMeasure.power_law(1.0, 1.2)
+
+    def inner_value():
+        fresh = LevyMeasure(inner.density, inner.z_min, inner.z_max)
+        return re_psi(LevyModel.khintchine(0.0, fresh), 2.0)
+
+    def nested(z):
+        scale = inner_value()
+        return scale * z ** -2.5
+
+    scale = inner_value()
+    xis = np.geomspace(1e-2, 1e6, 40)
+    got = re_psi(LevyModel.khintchine(
+        0.0, LevyMeasure.from_density(nested)), xis)
+    want = re_psi(LevyModel.khintchine(0.0, LevyMeasure.from_density(
+        lambda z: scale * z ** -2.5)), xis)
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("z_min, xi", [(0.5, 9.07), (0.5, 20.0),
