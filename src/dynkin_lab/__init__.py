@@ -9,8 +9,7 @@ together.
 
 from .config import ConfigError, ExperimentConfig, parse_config
 from .fields import (BiasReport, FieldSample, SpectralGrid, ensemble_values,
-                     increment_scaling_exponent, sample_heat_field,
-                     sample_joint, spectral_density)
+                     sample_heat_field, sample_joint, spectral_density)
 from .kernels import (AtomicMeasure, VarianceProfile, delta_difference,
                       kernel_value, pbar_density, quadratic_form, u_alpha,
                       variance_profile)
@@ -38,7 +37,7 @@ __all__ = [
     "VarianceProfile", "averaged_exponent", "condition_report",
     "corollary_test", "delta_difference", "discounted_split_check",
     "ensemble_values",
-    "feller_functions", "increment_scaling_exponent", "initial_state",
+    "feller_functions", "initial_state",
     "kernel_value", "local_time", "mode_variance", "parse_config",
     "pbar_density", "point_variance_exact", "quadratic_form", "re_psi",
     "resolvent_check", "run_moments", "sample_heat_field", "sample_joint",

@@ -375,17 +375,6 @@ def _validate_lags(lags: np.ndarray, band: tuple[float, float]):
             f"resolved band [{low:.4g}, {high:.4g}]")
 
 
-def _pair_indices(x: np.ndarray, lags: np.ndarray):
-    out = []
-    for r in lags:
-        diffs = np.abs(x[None, :] - x[:, None] - r) < 1e-9 * max(1.0, r)
-        ii, jj = np.nonzero(diffs)
-        if ii.size == 0:
-            raise ValueError(f"no point pairs at lag {r:.6g} on the grid")
-        out.append((ii, jj))
-    return out
-
-
 def _fit_loglog(lags, per_rep, band) -> ScalingFit:
     """OLS slope of log D on log lag, D the mean of the replicate rows of
     per_rep, with a delta-method se from their scatter (0 for one row)."""
@@ -402,34 +391,6 @@ def _fit_loglog(lags, per_rep, band) -> ScalingFit:
                        where=d_mean > 0)
     stderr = float(np.sqrt(np.sum((xc / sxx) ** 2 * se_log**2)))
     return ScalingFit(slope, stderr, lags, d_mean, d_se, band)
-
-
-def increment_scaling_exponent(samples, lags, model: LevyModel) -> ScalingFit:
-    """Log-log slope of the mean-square increment over the given lags.
-
-    ``samples`` is one FieldSample or a sequence of replicates sharing the
-    same spatial grid.  For each lag every point pair at that spacing
-    contributes; the ensemble average runs over pairs and replicates, and
-    the slope comes from ordinary least squares on (log lag, log D) with a
-    delta-method standard error from the replicate scatter.
-    """
-    if isinstance(samples, FieldSample):
-        samples = [samples]
-    samples = list(samples)
-    if not samples:
-        raise ValueError("need at least one sample")
-    s0 = samples[0]
-    lags = np.asarray(lags, dtype=float)
-    band = _band_for(s0.kind, model, s0.alpha, s0.t, s0.grid)
-    _validate_lags(lags, band)
-    pair_idx = _pair_indices(s0.x, lags)
-    per_rep = np.empty((len(samples), lags.size))
-    for k, s in enumerate(samples):
-        v = s.values
-        for li, (ii, jj) in enumerate(pair_idx):
-            d = v[jj] - v[ii]
-            per_rep[k, li] = np.mean(d * d)
-    return _fit_loglog(lags, per_rep, band)
 
 
 # the probe bases of scaling_exponent_ensemble

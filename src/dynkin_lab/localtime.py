@@ -133,37 +133,42 @@ def _check_bandwidth(eps: float, med: float):
             "step resolution")
 
 
-def _hits(body: np.ndarray, y: float, eps: float) -> np.ndarray:
-    """Mask of the left endpoints inside the box (y-eps, y+eps)."""
-    return np.abs(body - y) < eps
+def _count(positions: np.ndarray, y: float, eps: float, stop=None) -> int:
+    """The one box rule: the left endpoints positions[:-1][:stop] (None:
+    all of them) inside (y-eps, y+eps)."""
+    return int(np.count_nonzero(np.abs(positions[:-1][:stop] - y) < eps))
+
+
+def _finite(**values):
+    """Reject a non-finite start or level before any path is drawn."""
+    for name, value in values.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 def local_time(positions: np.ndarray, dt: float, y: float,
                eps: float) -> float:
-    """Box occupation estimate of the local time at level y.
-
-    Counts the left endpoints X_0..X_{n-1} inside (y-eps, y+eps); the
-    bandwidth guards reject eps out of proportion with the step scale.
-    """
+    """Box occupation estimate dt/(2 eps) * _count(positions, y, eps) of
+    the local time at level y; the bandwidth guards reject eps out of
+    proportion with the step scale."""
     positions = np.asarray(positions, dtype=float)
     _check_bandwidth(eps, float(np.median(np.abs(np.diff(positions))))
                      if positions.size >= 2 else 0.0)
-    count = int(np.count_nonzero(_hits(positions[:-1], y, eps)))
-    return dt / (2.0 * eps) * count
+    return dt / (2.0 * eps) * _count(positions, y, eps)
 
 
-def _paths(cfg: PathConfig, paths: int, x0: float, levels, stops=(None,),
+def _paths(cfg: PathConfig, paths: int, x0: float, reduce,
            alpha: float | None = None, n_steps: int = 0):
-    """The occupation pass every estimator shares; yields (S, counts).
+    """The occupation pass every estimator shares; yields reduce(S, X).
 
     Path p starts at x0 and owns the stream (cfg.seed, DOMAIN_PATH, p); the
     paths run through ``rng._in_order``, so a long run is split over worker
-    processes and still yields path 0, 1, ... in order.  With
-    alpha given, that stream first draws the exponential clock S(alpha)
-    and the path runs ceil(S/dt) >= 1 steps; otherwise it runs n_steps and
-    S is None.  counts[i][j] is the number of the first stops[j] left
-    endpoints (None: all of them) inside the box of levels[i]; the
-    estimators combine these integers before they apply cfg.box_weight.
+    processes, which send back only the reduced values, and still yields
+    path 0, 1, ... in order.  With alpha given, that stream first draws the
+    exponential clock S(alpha) and the path runs ceil(S/dt) >= 1 steps;
+    otherwise it runs n_steps and S is None.  X holds the positions
+    X_0 = x0, ..., X_n, so ``_count(X, y, eps, stop)`` is a box count; the
+    estimators combine such integers before they apply cfg.box_weight.
 
     The bandwidth guard compares eps with the scale of one step of the
     law, (2 c dt)^(1/beta), so its verdict does not depend on the seed.
@@ -174,9 +179,8 @@ def _paths(cfg: PathConfig, paths: int, x0: float, levels, stops=(None,),
     """
     if paths < 2:
         raise ValueError("need at least 2 paths")
-    eps = cfg.bandwidth
-    _check_bandwidth(eps, (2.0 * cfg.c * cfg.dt) ** (1.0 / cfg.beta))
-    levels = list(levels)
+    _check_bandwidth(cfg.bandwidth,
+                     (2.0 * cfg.c * cfg.dt) ** (1.0 / cfg.beta))
 
     def task(lo, hi):
         for p in range(lo, hi):
@@ -185,10 +189,7 @@ def _paths(cfg: PathConfig, paths: int, x0: float, levels, stops=(None,),
             if alpha is not None:
                 s_time = gen.standard_exponential() / alpha
                 n = max(1, int(math.ceil(s_time / cfg.dt)))
-            body = simulate_path(cfg, n, gen, x0)[:-1]
-            yield s_time, [[int(np.count_nonzero(hit[:stop]))
-                            for stop in stops]
-                           for hit in [_hits(body, y, eps) for y in levels]]
+            yield reduce(s_time, simulate_path(cfg, n, gen, x0))
 
     return rng._in_order(task, paths)
 
@@ -224,14 +225,16 @@ def resolvent_check(cfg: PathConfig, alpha: float, x: float, y: float,
     every path starts at x and the boxes sit at y."""
     if not alpha > 0:
         raise ValueError("alpha must be > 0")
-    w = cfg.box_weight
+    _finite(x=x, y=y)
+    w, eps = cfg.box_weight, cfg.bandwidth
     sums = rng.Moments()
-    for _, counts in _paths(cfg, paths, x, [y], alpha=alpha):
-        sums.add(w * counts[0][0])
+    for count in _paths(cfg, paths, x, lambda _, pos: _count(pos, y, eps),
+                        alpha=alpha):
+        sums.add(w * count)
     mean, se = sums.mean_se()
     exact = u_alpha(cfg.line_model(), alpha, x - y) / alpha
-    return ResolventResult(mean / alpha, exact, se / alpha, paths,
-                           cfg.bandwidth, cfg.dt, mean)
+    return ResolventResult(mean / alpha, exact, se / alpha, paths, eps,
+                           cfg.dt, mean)
 
 
 @dataclass(frozen=True)
@@ -272,10 +275,12 @@ def corollary_test(cfg: PathConfig, alpha: float, a: float, b: float,
     """
     if not (alpha > 0 and t > 0):
         raise ValueError("alpha and t must be > 0")
-    w = cfg.box_weight
+    _finite(a=a, b=b)
+    w, eps = cfg.box_weight, cfg.bandwidth
     bins = {True: rng.Moments(), False: rng.Moments()}
-    for s_time, counts in _paths(cfg, paths, a, [a, b], alpha=alpha):
-        bins[s_time >= t].add(w * (counts[0][0] - counts[1][0]))
+    for long_clock, diff in _paths(cfg, paths, a, lambda s, pos: (
+            s >= t, _count(pos, a, eps) - _count(pos, b, eps)), alpha=alpha):
+        bins[long_clock].add(w * diff)
     n_long, n_short = bins[True].n, bins[False].n
     if n_long < max(1, min_bin_count) or n_short < max(1, min_bin_count):
         raise OccupancyError(
@@ -321,16 +326,17 @@ def discounted_split_check(cfg: PathConfig, alpha: float, a: float, b: float,
     every path starts at a."""
     if not (alpha > 0 and t > 0):
         raise ValueError("alpha and t must be > 0")
-    w = cfg.box_weight
+    _finite(a=a, b=b)
+    w, eps = cfg.box_weight, cfg.bandwidth
     ct = math.exp(-alpha * t) / (-math.expm1(-alpha * t))
     k_t = int(math.ceil(t / cfg.dt))
+
+    def reduce(_, pos):  # the left endpoints before step k_t, and after
+        return (_count(pos, a, eps, k_t) - _count(pos, b, eps, k_t),
+                _count(pos[k_t:], a, eps) - _count(pos[k_t:], b, eps))
     sums = rng.Moments()
-    for _, counts in _paths(cfg, paths, a, [a, b], stops=(k_t, None),
-                            alpha=alpha):
-        (pre_a, all_a), (pre_b, all_b) = counts
-        pre = w * (pre_a - pre_b)
-        post = w * (all_a - pre_a - (all_b - pre_b))
-        sums.add(np.array([pre, post, ct * pre - post]))
+    for pre, post in _paths(cfg, paths, a, reduce, alpha=alpha):
+        sums.add(np.array([w * pre, w * post, ct * (w * pre) - w * post]))
     (_, lhs, margin), (_, _, margin_se) = sums.mean_se()
     return DiscountedSplitResult(float(lhs), ct * float(sums.total[0]) / paths,
                                  float(margin), float(margin_se), paths)
@@ -343,7 +349,8 @@ def mean_local_times(cfg: PathConfig, x0: float, levels, times, paths: int):
     run to max(times) and the estimates at earlier horizons reuse the same
     trajectories (exact local-time additivity makes the restriction exact).
     """
-    times = list(times)
+    levels, times = list(levels), list(times)
+    _finite(x0=x0, levels=levels)
     if not times:
         raise ValueError("need at least one horizon")
     if not all(t > 0 for t in times):
@@ -351,9 +358,10 @@ def mean_local_times(cfg: PathConfig, x0: float, levels, times, paths: int):
     steps = [int(round(t / cfg.dt)) for t in times]
     if any(abs(s * cfg.dt - t) > 1e-9 * t for s, t in zip(steps, times)):
         raise ValueError("times must be integer multiples of dt")
-    w = cfg.box_weight
+    w, eps = cfg.box_weight, cfg.bandwidth
     sums = rng.Moments()
-    for _, counts in _paths(cfg, paths, x0, levels, stops=steps,
-                            n_steps=max(steps)):
-        sums.add(w * np.array(counts).T)
+    for counts in _paths(cfg, paths, x0, lambda _, pos: [
+            [_count(pos, y, eps, stop) for y in levels] for stop in steps],
+            n_steps=max(steps)):
+        sums.add(w * np.array(counts))
     return sums.mean_se()

@@ -7,9 +7,8 @@ import pytest
 
 from dynkin_lab import cli, fields, rng
 from dynkin_lab.fields import (SpectralGrid, ensemble_values,
-                               increment_scaling_exponent, sample_heat_field,
-                               sample_joint, scaling_exponent_ensemble,
-                               spectral_density, structure_function_exact)
+                               sample_heat_field, sample_joint,
+                               scaling_exponent_ensemble, spectral_density)
 from dynkin_lab.kernels import spectral_envelope, variance_profile
 from dynkin_lab.levy import LevyModel
 from dynkin_lab.quadrature import NonConvergenceError
@@ -352,30 +351,19 @@ def test_grid_validation():
 
 
 def test_scaling_band_validation():
+    # the lag rule runs before any field value is drawn
     grid = SpectralGrid(512.0, 2048)
-    x = np.arange(256) * 0.01
-    v, s, eta, _ = sample_joint(BROWNIAN, 0.01, 1.0, grid, x, seed=5)
+
+    def fit(lags):
+        return scaling_exponent_ensemble(BROWNIAN, "eta", 0.01, None, grid,
+                                         lags, seed=5, replicates=4)
+
     with pytest.raises(ValueError, match="decades"):
-        increment_scaling_exponent(eta, [0.05, 0.06, 0.07, 0.08, 0.09,
-                                         0.10, 0.11, 0.12], BROWNIAN)
+        fit([0.05, 0.06, 0.07, 0.08, 0.09, 0.10, 0.11, 0.12])
     with pytest.raises(ValueError, match="at least 8"):
-        increment_scaling_exponent(eta, [0.05, 1.6], BROWNIAN)
+        fit([0.05, 1.6])
     with pytest.raises(ValueError, match="resolved band"):
-        increment_scaling_exponent(
-            eta, [1e-4 * 2 ** (k / 2) for k in range(11)], BROWNIAN)
-
-
-def test_scaling_fit_on_samples_matches_discrete_truth():
-    grid = SpectralGrid(2048.0, 8192)
-    x = np.arange(384) * 0.01
-    lags = np.array([4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128]) * 0.01
-    samples = [sample_joint(BROWNIAN, 0.005, 1.0, grid, x, seed=11,
-                            replicate=r)[2] for r in range(48)]
-    fit = increment_scaling_exponent(samples, lags, BROWNIAN)
-    exact = structure_function_exact("eta", BROWNIAN, 0.005, None, grid,
-                                     lags)
-    det = fields._fit_loglog(lags, exact[None, :], fit.band)
-    assert fit.slope == pytest.approx(det.slope, abs=5 * fit.stderr)
+        fit([1e-4 * 2 ** (k / 2) for k in range(11)])
 
 
 def test_scaling_ensemble_route_consistency():

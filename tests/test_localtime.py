@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dynkin_lab import rng, torus
+from dynkin_lab import localtime, rng, torus
 from dynkin_lab.kernels import u_alpha
 from dynkin_lab.levy import LevyModel
 from dynkin_lab.localtime import (BandwidthError, OccupancyError, PathConfig,
@@ -324,3 +324,51 @@ def test_one_worker_gives_the_pooled_run_bit_for_bit(monkeypatch):
     pooled = [repr(run()) for run in runs]
     monkeypatch.setattr(rng, "workers", lambda: 1)
     assert [repr(run()) for run in runs] == pooled
+
+
+@pytest.mark.parametrize("estimator, name", [
+    (lambda cfg: resolvent_check(cfg, 1.0, math.nan, 0.0, 3000), "x"),
+    (lambda cfg: resolvent_check(cfg, 1.0, 0.0, math.inf, 3000), "y"),
+    (lambda cfg: corollary_test(cfg, 1.0, 1.0, math.nan, 0.7, 3000), "b"),
+    (lambda cfg: discounted_split_check(cfg, 1.0, -math.inf, 0.5, 0.7,
+                                        3000), "a"),
+    (lambda cfg: mean_local_times(cfg, math.nan, [0.0], [1.0], 3000), "x0"),
+    (lambda cfg: mean_local_times(cfg, 0.0, iter([0.0, math.nan]), [1.0],
+                                  3000), "levels"),
+], ids=["resolvent-x", "resolvent-y", "corollary-b", "discounted_split-a",
+        "mean_local_times-x0", "mean_local_times-levels"])
+def test_non_finite_start_or_level_raises_before_any_path(monkeypatch,
+                                                          estimator, name):
+    # a NaN level once gave an empty box: lhs = rhs = 0 and a passing
+    # corollary verdict, and a NaN start gave a path of NaNs
+    def no_path(*args):
+        raise AssertionError("a path was simulated")
+
+    monkeypatch.setattr(localtime, "simulate_path", no_path)
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+        estimator(PathConfig(1.5, 0.5, 1e-3, seed=1))
+
+
+def test_reduction_sees_each_paths_positions(monkeypatch):
+    # reduce(S, X) gets path p's positions from its own stream: the clock
+    # first, then ceil(S/dt) >= 1 steps from X_0 = x0; without a clock,
+    # n_steps steps and S = None
+    cfg = PathConfig(1.5, 0.5, 1e-3, seed=8)
+    for p, (s_time, pos) in enumerate(localtime._paths(
+            cfg, 40, 0.3, lambda s, pos: (s, pos), alpha=20.0)):
+        gen = rng.stream(cfg.seed, rng.DOMAIN_PATH, p)
+        assert s_time == gen.standard_exponential() / 20.0
+        n = max(1, math.ceil(s_time / cfg.dt))
+        assert pos[0] == 0.3 and pos.size == n + 1
+        assert pos.tolist() == simulate_path(cfg, n, gen, 0.3).tolist()
+    for s_time, size, start in localtime._paths(
+            cfg, 3, -0.2, lambda s, pos: (s, pos.size, pos[0]), n_steps=70):
+        assert (s_time, size, start) == (None, 71, -0.2)
+    # pooled runs hand back the reduced values in path order
+    paths = rng.POOL_MIN_ITEMS + 10
+    runs = []
+    for procs in (2, 1):
+        monkeypatch.setattr(rng, "workers", lambda: procs)
+        runs.append([(s, pos.tolist()) for s, pos in localtime._paths(
+            cfg, paths, 0.1, lambda s, pos: (s, pos), alpha=5.0)])
+    assert runs[0] == runs[1]
