@@ -22,25 +22,23 @@ from .localtime import (BandwidthError, CorollaryResult,
                         discounted_split_check, local_time, resolvent_check,
                         stable_increment)
 from .quadrature import NonConvergenceError
-from .torus import (MomentReport, TorusConfig, TorusState, initial_state,
-                    mode_variance, point_variance_exact, run_moments,
-                    snapshot)
+from .torus import (MomentReport, TorusConfig, mode_variance,
+                    point_variance_exact, run_moments, snapshot)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AtomicMeasure", "BandwidthError", "BiasReport", "ConditionReport",
     "ConfigError", "CorollaryResult", "DiscountedSplitResult",
-    "ExperimentConfig", "FieldSample",
-    "LevyMeasure", "LevyModel", "MomentReport", "NonConvergenceError", "OccupancyError", "PathConfig",
-    "ResolventResult", "SpectralGrid", "TorusConfig", "TorusState",
-    "VarianceProfile", "averaged_exponent", "condition_report",
-    "corollary_test", "delta_difference", "discounted_split_check",
-    "ensemble_values",
-    "feller_functions", "initial_state",
-    "kernel_value", "local_time", "mode_variance", "parse_config",
-    "pbar_density", "point_variance_exact", "quadratic_form", "re_psi",
-    "resolvent_check", "run_moments", "sample_heat_field", "sample_joint",
-    "snapshot", "spectral_density", "stable_increment",
-    "stable_jump_coefficient", "u_alpha", "variance_profile",
+    "ExperimentConfig", "FieldSample", "LevyMeasure", "LevyModel",
+    "MomentReport", "NonConvergenceError", "OccupancyError", "PathConfig",
+    "ResolventResult", "SpectralGrid", "TorusConfig", "VarianceProfile",
+    "averaged_exponent", "condition_report", "corollary_test",
+    "delta_difference", "discounted_split_check", "ensemble_values",
+    "feller_functions", "kernel_value", "local_time", "mode_variance",
+    "parse_config", "pbar_density", "point_variance_exact",
+    "quadratic_form", "re_psi", "resolvent_check", "run_moments",
+    "sample_heat_field", "sample_joint", "snapshot", "spectral_density",
+    "stable_increment", "stable_jump_coefficient", "u_alpha",
+    "variance_profile",
 ]

@@ -132,7 +132,8 @@ def _envelope_decay_guard(env, kind: str, summable: bool, context: str):
             raise NonConvergenceError(
                 f"{context}: spectral envelope has non-summable tail "
                 f"(octave ratio {tail_ratio:.4f}); the existence integral "
-                "fails at this exponent", diverged=tail_ratio >= RATIO_DIVERGED)
+                "fails at this exponent",
+                diverged=tail_ratio >= RATIO_DIVERGED)
     else:
         if min(ratios[-3:]) >= 0.9995:
             raise NonConvergenceError(

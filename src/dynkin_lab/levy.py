@@ -166,7 +166,8 @@ def stable_jump_coefficient(beta: float, c: float) -> float:
     """
     if not 0.0 < beta <= 2.0:
         raise ValueError("beta must lie in (0,2]")
-    return c * math.gamma(1.0 + beta) * math.sin(math.pi * beta / 2.0) / math.pi
+    return (c * math.gamma(1.0 + beta) * math.sin(math.pi * beta / 2.0)
+            / math.pi)
 
 
 @dataclass(frozen=True)

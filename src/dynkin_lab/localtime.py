@@ -62,7 +62,8 @@ class PathConfig:
     @property
     def bandwidth(self) -> float:
         """Default eps = dt^(1/beta), the spatial scale of one step."""
-        return self.eps if self.eps is not None else self.dt ** (1.0 / self.beta)
+        return (self.eps if self.eps is not None
+                else self.dt ** (1.0 / self.beta))
 
     @property
     def box_weight(self) -> float:
@@ -140,7 +141,7 @@ def _count(positions: np.ndarray, y: float, eps: float, stop=None) -> int:
 
 
 def _finite(**values):
-    """Reject a non-finite start or level before any path is drawn."""
+    """Reject a non-finite argument before any path is drawn."""
     for name, value in values.items():
         if not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite, got {value}")
@@ -182,16 +183,15 @@ def _paths(cfg: PathConfig, paths: int, x0: float, reduce,
     _check_bandwidth(cfg.bandwidth,
                      (2.0 * cfg.c * cfg.dt) ** (1.0 / cfg.beta))
 
-    def task(lo, hi):
-        for p in range(lo, hi):
-            gen = rng._reopen(cfg.seed, rng.DOMAIN_PATH, p)
-            s_time, n = None, n_steps
-            if alpha is not None:
-                s_time = gen.standard_exponential() / alpha
-                n = max(1, int(math.ceil(s_time / cfg.dt)))
-            yield reduce(s_time, simulate_path(cfg, n, gen, x0))
+    def path(p):
+        gen = rng._reopen(cfg.seed, rng.DOMAIN_PATH, p)
+        s_time, n = None, n_steps
+        if alpha is not None:
+            s_time = gen.standard_exponential() / alpha
+            n = max(1, int(math.ceil(s_time / cfg.dt)))
+        return reduce(s_time, simulate_path(cfg, n, gen, x0))
 
-    return rng._in_order(task, paths)
+    return rng._in_order(path, paths)
 
 
 @dataclass(frozen=True)
@@ -225,7 +225,7 @@ def resolvent_check(cfg: PathConfig, alpha: float, x: float, y: float,
     every path starts at x and the boxes sit at y."""
     if not alpha > 0:
         raise ValueError("alpha must be > 0")
-    _finite(x=x, y=y)
+    _finite(alpha=alpha, x=x, y=y)
     w, eps = cfg.box_weight, cfg.bandwidth
     sums = rng.Moments()
     for count in _paths(cfg, paths, x, lambda _, pos: _count(pos, y, eps),
@@ -275,7 +275,7 @@ def corollary_test(cfg: PathConfig, alpha: float, a: float, b: float,
     """
     if not (alpha > 0 and t > 0):
         raise ValueError("alpha and t must be > 0")
-    _finite(a=a, b=b)
+    _finite(alpha=alpha, t=t, a=a, b=b)
     w, eps = cfg.box_weight, cfg.bandwidth
     bins = {True: rng.Moments(), False: rng.Moments()}
     for long_clock, diff in _paths(cfg, paths, a, lambda s, pos: (
@@ -326,7 +326,7 @@ def discounted_split_check(cfg: PathConfig, alpha: float, a: float, b: float,
     every path starts at a."""
     if not (alpha > 0 and t > 0):
         raise ValueError("alpha and t must be > 0")
-    _finite(a=a, b=b)
+    _finite(alpha=alpha, t=t, a=a, b=b)
     w, eps = cfg.box_weight, cfg.bandwidth
     ct = math.exp(-alpha * t) / (-math.expm1(-alpha * t))
     k_t = int(math.ceil(t / cfg.dt))
@@ -350,11 +350,11 @@ def mean_local_times(cfg: PathConfig, x0: float, levels, times, paths: int):
     trajectories (exact local-time additivity makes the restriction exact).
     """
     levels, times = list(levels), list(times)
-    _finite(x0=x0, levels=levels)
     if not times:
         raise ValueError("need at least one horizon")
     if not all(t > 0 for t in times):
         raise ValueError("horizons must be > 0")
+    _finite(x0=x0, levels=levels, times=times)
     steps = [int(round(t / cfg.dt)) for t in times]
     if any(abs(s * cfg.dt - t) > 1e-9 * t for s, t in zip(steps, times)):
         raise ValueError("times must be integer multiples of dt")

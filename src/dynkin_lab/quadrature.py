@@ -164,8 +164,8 @@ def _shell_walk(f: Callable, total: float, edge: float, step: float,
                 tail, uncertainty, ok = _geometric_tail(j, rho, rho_prev)
                 tail, uncertainty = float(tail), float(uncertainty)
                 if ok:
-                    if uncertainty <= max(rel_tol * abs(total + tail), 1e-300) \
-                            or n == shells - 1:
+                    if uncertainty <= max(rel_tol * abs(total + tail),
+                                          1e-300) or n == shells - 1:
                         return total + tail, uncertainty
                 elif _ratios_agree(rho, rho_prev):
                     raise NonConvergenceError(

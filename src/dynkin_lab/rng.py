@@ -25,10 +25,10 @@ never hand its Generator to code that might open another.
 sum of squares (and optionally outer products) of the values added.
 
 ``workers`` is the one core count: the ensemble fill's threads and the path
-pool's processes.  The private ``_in_order`` runs a per-path loop over
-contiguous chunks in forked worker processes and yields the items in path
-order, so an accumulator fed from it adds the same values in the same order
-as the serial loop.
+pool's processes.  The private ``_in_order`` takes one function of the path
+index, runs it over contiguous chunks of paths in forked worker processes
+and yields its values in path order, so an accumulator fed from it adds the
+same values in the same order as the serial loop.
 """
 
 from __future__ import annotations
@@ -95,19 +95,18 @@ POOL_MIN_ITEMS = 64
 _CHUNKS_PER_WORKER = 4
 
 
-def _in_order(task, n: int):
-    """Yield the items of ``task(0, n)`` in order.
+def _in_order(item, n: int):
+    """Yield ``item(0), ..., item(n - 1)`` in order.
 
-    ``task(lo, hi)`` returns an iterable of the items lo..hi-1, each a pure
-    function of its index (its own stream), and picklable.  With at least
-    ``POOL_MIN_ITEMS`` items and two cores, contiguous chunks run in a pool
-    of forked processes, one per core, and the chunks are yielded in index
-    order, so the caller sees exactly the serial sequence.  A fork child
-    inherits the task through the pool's initializer, so closures need no
-    pickling.  Hosts without ``fork``, and daemonic processes (which may
-    not start children), run serially.  The pool ends with the generator:
-    when it is used up or closed, or when a worker's exception reaches the
-    caller.
+    ``item(p)`` is a pure function of the path index p (its own stream) and
+    returns a picklable value.  With at least ``POOL_MIN_ITEMS`` items and
+    two cores, contiguous chunks of indices run in a pool of forked
+    processes, one per core, and the chunks are yielded in index order, so
+    the caller sees exactly the serial sequence.  A fork child inherits
+    ``item`` through the pool's initializer, so closures need no pickling.
+    Hosts without ``fork``, and daemonic processes (which may not start
+    children), run serially.  The pool ends with the generator: when it is
+    used up or closed, or when a worker's exception reaches the caller.
     """
     procs = workers()
     if n >= POOL_MIN_ITEMS and procs > 1:
@@ -119,22 +118,22 @@ def _in_order(task, n: int):
             m = procs * _CHUNKS_PER_WORKER
             bounds = [(n * k // m, n * (k + 1) // m) for k in range(m)]
             with multiprocessing.get_context("fork").Pool(
-                    procs, _install, (task,)) as pool:
+                    procs, _install, (item,)) as pool:
                 for chunk in pool.imap(_run_chunk, bounds):
                     yield from chunk
             return
-    yield from task(0, n)
+    yield from map(item, range(n))
 
 
-def _install(task):
-    # pool initializer, run once in each worker: the task lives on the
+def _install(item):
+    # pool initializer, run once in each worker: the function lives on the
     # worker's own thread state, never on the parent's
-    _local.task = task
+    _local.item = item
 
 
 def _run_chunk(bounds):
     lo, hi = bounds
-    return list(_local.task(lo, hi))
+    return [_local.item(p) for p in range(lo, hi)]
 
 
 class Moments:

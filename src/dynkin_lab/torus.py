@@ -35,14 +35,14 @@ class TorusConfig:
     dt: float
 
     def __post_init__(self):
-        if not self.circumference > 0:
-            raise ValueError("circumference must be > 0")
+        if not 0 < self.circumference < math.inf:
+            raise ValueError("circumference must be > 0 and finite")
         if self.n_modes < 1 or self.n_modes % 2 == 0:
             raise ValueError("n_modes must be odd (symmetric mode set)")
-        if not self.alpha >= 0:
-            raise ValueError("alpha must be >= 0")
-        if not self.dt > 0:
-            raise ValueError("dt must be > 0")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError("alpha must be >= 0 and finite")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be > 0 and finite")
 
     @property
     def half(self) -> int:
@@ -52,21 +52,6 @@ class TorusConfig:
     def frequencies(self) -> np.ndarray:
         """k_n = 2 pi n / L for n = 0..half."""
         return 2.0 * math.pi * np.arange(self.half + 1) / self.circumference
-
-
-@dataclass(frozen=True)
-class TorusState:
-    """Mode state after step_index steps, at time step_index dt; negative
-    modes are conj of positive ones."""
-
-    modes: np.ndarray      # complex amplitudes for n = 0..half
-    seed: int
-    path: int
-    step_index: int
-
-
-def initial_state(cfg: TorusConfig, seed: int, path: int = 0) -> TorusState:
-    return TorusState(np.zeros(cfg.half + 1, dtype=complex), seed, path, 0)
 
 
 def _rates(cfg: TorusConfig, model: LevyModel) -> np.ndarray:
@@ -99,44 +84,44 @@ class StepOperator:
                                      2)
         self.noise_scale[:2] = self.sigma_zero, 0.0
 
-    def apply(self, state: TorusState) -> TorusState:
+    def apply(self, modes: np.ndarray, seed: int, path: int,
+              step: int) -> np.ndarray:
+        """The complex modes n = 0..half one step after ``modes``, which
+        are those of path ``path`` after ``step`` steps under ``seed``."""
         # stream layout: one substream per (path, step); draws 2(half+1)
         # normals whose consecutive pairs are the real/imag innovations of
         # modes 0..half (the imaginary draw of the real zero mode is unused)
-        cfg = self.cfg
-        z = rng._reopen(state.seed, rng.DOMAIN_TORUS, state.path,
-                        state.step_index).standard_normal(2 * cfg.half + 2)
+        z = rng._reopen(seed, rng.DOMAIN_TORUS, path, step).standard_normal(
+            2 * self.cfg.half + 2)
         z *= self.noise_scale
-        modes = self.decay * state.modes
+        modes = self.decay * modes
         modes += z.view(np.complex128)
-        return TorusState(modes, state.seed, state.path,
-                          state.step_index + 1)
+        return modes
 
 
 def _paths(op: StepOperator, seed: int, paths: int, stops, reduce):
     """The per-path loop every torus ensemble shares.
 
-    Yields, for each path from the zero state, ``reduce(state)`` after each
-    step count in the increasing ``stops``; it steps only through
-    ``op.apply``.  The paths run through ``rng._in_order``: a long run is
-    split over worker processes, which send back only the reduced values,
-    and the paths still come in order.
+    Yields, for each path p, the list of ``reduce(modes)`` after each step
+    count in the increasing ``stops``.  A path is its complex mode array of
+    shape (half + 1,): it starts at zero, and step k of it is
+    ``op.apply(modes, seed, p, k)``.  The paths run through
+    ``rng._in_order``: a long run is split over worker processes, which
+    send back only the reduced values, and the paths still come in order.
     """
-    def task(lo, hi):
-        for p in range(lo, hi):
-            state = initial_state(op.cfg, seed, path=p)
-            seen = []
-            for stop in stops:
-                for _ in range(stop - state.step_index):
-                    state = op.apply(state)
-                seen.append(reduce(state))
-            yield seen
+    def path(p):
+        modes, seen = np.zeros(op.cfg.half + 1, dtype=complex), []
+        for start, stop in zip((0, *stops), stops):
+            for k in range(start, stop):
+                modes = op.apply(modes, seed, p, k)
+            seen.append(reduce(modes))
+        return seen
 
-    return rng._in_order(task, paths)
+    return rng._in_order(path, paths)
 
 
 def _probes(cfg: TorusConfig, x: np.ndarray):
-    """The field sum at the points x, as a function of the state.
+    """The field sum at the points x, as a function of the modes.
 
     With u_{-n} = conj(u_n) and a real u_0, sum_n u_n exp(i k_n x) over
     n = -half..half is the half-spectrum sum
@@ -148,25 +133,26 @@ def _probes(cfg: TorusConfig, x: np.ndarray):
     sin_b = np.sin(phases)
     cos_b[0] *= 0.5
 
-    def values(state: TorusState) -> np.ndarray:
-        return 2.0 * (state.modes.real @ cos_b - state.modes.imag @ sin_b)
+    def values(modes: np.ndarray) -> np.ndarray:
+        return 2.0 * (modes.real @ cos_b - modes.imag @ sin_b)
 
     return values
 
 
-def snapshot(state: TorusState, cfg: TorusConfig, x) -> np.ndarray:
-    """Field values u(x) = sum_n u_n exp(i k_n x) for x in [0, L).
+def snapshot(modes: np.ndarray, cfg: TorusConfig, x) -> np.ndarray:
+    """Field values u(x) = sum_n u_n exp(i k_n x) for x in [0, L), from the
+    complex modes u_n, n = 0..half.
 
     The stored half spectrum is Hermitian exactly when Im u_0 = 0; any
-    other state raises ValueError.
+    other mode array raises ValueError.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x < 0) or np.any(x >= cfg.circumference):
         raise ValueError(f"x must lie in [0, {cfg.circumference})")
-    if state.modes[0].imag != 0.0:
+    if modes[0].imag != 0.0:
         raise ValueError(f"Hermitian symmetry violated: Im u_0 = "
-                         f"{state.modes[0].imag:.3e}")
-    return _probes(cfg, x)(state)
+                         f"{modes[0].imag:.3e}")
+    return _probes(cfg, x)(modes)
 
 
 def mode_variance(cfg: TorusConfig, model: LevyModel, t: float) -> np.ndarray:
@@ -243,19 +229,20 @@ def run_moments(cfg: TorusConfig, model: LevyModel, t_end: float,
     diagnostic compares the observed point variance at the two probe times
     against the relaxation bound exp(-alpha t) * stationary variance.
     """
-    if not t_end > 0:
-        raise ValueError("t_end must be > 0")
+    if not 0 < t_end < math.inf:
+        raise ValueError("t_end must be > 0 and finite")
     if paths < 2:
         raise ValueError("need at least 2 paths")
     probes = np.atleast_1d(np.asarray(probes, dtype=float))
+    if not np.isfinite(probes).all():
+        raise ValueError(f"probes must be finite, got {probes}")
     n_steps = int(round(t_end / cfg.dt))
     if abs(n_steps * cfg.dt - t_end) > 1e-9 * t_end:
         raise ValueError("t_end must be an integer multiple of dt")
     half_steps = n_steps // 2
     op = StepOperator(cfg, model)
-    stops, slots = ((half_steps, n_steps), (0, 1)) if half_steps > 0 \
-        else ((n_steps,), (1,))
-    acc = [rng.Moments(), rng.Moments(cross=True)]   # t_end/2, t_end
+    stops = (half_steps, n_steps) if half_steps > 0 else (n_steps,)
+    acc = [rng.Moments(cross=stop == n_steps) for stop in stops]
     image = None
     if cfg.alpha > 0:
         image = image_sum_correction(cfg, model)
@@ -264,23 +251,21 @@ def run_moments(cfg: TorusConfig, model: LevyModel, t_end: float,
                 f"torus too small: image-sum correction {image:.3%} "
                 "exceeds 1% of the kernel at the origin")
     for values in _paths(op, seed, paths, stops, _probes(cfg, probes)):
-        for slot, value in zip(slots, values):
-            acc[slot].add(value)
+        for moments, value in zip(acc, values):
+            moments.add(value)
     rows = []
-    var_by_slot = []
-    for slot, t in ((0, half_steps * cfg.dt), (1, n_steps * cfg.dt)):
-        if slot == 0 and half_steps == 0:
-            var_by_slot.append(None)
-            continue
-        mean, var = acc[slot].mean_var()
+    probe_var = []      # the variance at the first probe, per stop
+    for stop, moments in zip(stops, acc):
+        t = stop * cfg.dt
+        mean, var = moments.mean_var()
         exact = point_variance_exact(cfg, model, t)
         se = rng.second_moment_se(var, paths)
-        var_by_slot.append(float(var[0]))
+        probe_var.append(float(var[0]))
         for j, xj in enumerate(probes):
             rows.append(MomentRow(t, float(xj), float(mean[j]),
                                   float(var[j]), exact, float(se[j]), paths))
     t_end_eff = n_steps * cfg.dt
-    cov = acc[1].cross / paths - np.outer(mean, mean)   # mean at t_end
+    cov = acc[-1].cross / paths - np.outer(mean, mean)   # mean at t_end
     covs = []
     for i in range(probes.size):
         for j in range(i + 1, probes.size):
@@ -290,8 +275,8 @@ def run_moments(cfg: TorusConfig, model: LevyModel, t_end: float,
                 float(cov[i, j]),
                 point_covariance_exact(cfg, model, t_end_eff, lag)))
     gap = bound = None
-    if cfg.alpha > 0 and var_by_slot[0] is not None:
-        gap = abs(var_by_slot[1] - var_by_slot[0])
+    if cfg.alpha > 0 and len(stops) > 1:
+        gap = abs(probe_var[-1] - probe_var[0])
         bound = (math.exp(-cfg.alpha * half_steps * cfg.dt)
                  * stationary_point_variance(cfg, model))
     return MomentReport(rows, covs, gap, bound, image)

@@ -317,7 +317,7 @@ def check_dt_invariance(model, seed, scale, tol_scale):
         for (u,) in torus._paths(
                 torus.StepOperator(cfg, model), s, paths,
                 (int(round(1.0 / dt)),),
-                lambda st: torus.snapshot(st, cfg, [0.0, 5.0, 10.0])):
+                lambda m: torus.snapshot(m, cfg, [0.0, 5.0, 10.0])):
             acc.add(np.array([u.sum(), (u * u).sum()]))
         mean, mean_sq = acc.total / (3 * acc.n)
         var[dt] = mean_sq - mean * mean
@@ -336,7 +336,7 @@ def check_hermitian_preservation(model, seed, scale, tol_scale):
     steps = 1000
     cfg = torus.TorusConfig(8.0, 5, 1.0, 0.01)
     [(u0,)] = torus._paths(torus.StepOperator(cfg, model), seed, 1,
-                           (steps,), lambda st: st.modes[0])
+                           (steps,), lambda m: m[0])
     gap = 2.0 * abs(u0.imag)
     real_zero = math.copysign(1.0, u0.imag) == 1.0
     return CheckResult("spde", "hermitian-symmetry",
@@ -352,7 +352,7 @@ def check_stationary_spectrum(model, seed, scale, tol_scale):
     acc = np.zeros(cfg.half + 1)
     for (power,) in torus._paths(torus.StepOperator(cfg, model), seed, paths,
                                  (int(round(t_end / cfg.dt)),),
-                                 lambda st: np.abs(st.modes) ** 2):
+                                 lambda m: np.abs(m) ** 2):
         acc += power
     emp = acc / paths
     rate = torus._rates(cfg, model)

@@ -175,9 +175,12 @@ def test_dense_route_values_are_unchanged():
     assert fields._fft_length(x, grid) is None
     v, s, _, d = sample_joint(BROWNIAN, 2.0, 1.0, grid, x, seed=99,
                               replicate=5, derivative_order=3)
-    assert v.values[[0, 16, 32]].tolist() == [0.03853353010616384, 0.4260920295094494, -0.8812332175598732]
-    assert s.values[[0, 16, 32]].tolist() == [-0.10801046151061922, -0.2556295951009369, -0.2014571009995907]
-    assert d.values[[0, 16, 32]].tolist() == [0.030069277248570052, 0.03095950088817615, -0.07223896680012637]
+    assert v.values[[0, 16, 32]].tolist() == [
+        0.03853353010616384, 0.4260920295094494, -0.8812332175598732]
+    assert s.values[[0, 16, 32]].tolist() == [
+        -0.10801046151061922, -0.2556295951009369, -0.2014571009995907]
+    assert d.values[[0, 16, 32]].tolist() == [
+        0.030069277248570052, 0.03095950088817615, -0.07223896680012637]
 
 
 # ensemble_values(STABLE, kind, 1.0, t, SpectralGrid(256.0, 512),

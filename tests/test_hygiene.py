@@ -1,6 +1,7 @@
-"""Source hygiene, read from the syntax trees alone: no import that its
-module never reads, and no private module-level name of the package that
-the package never uses."""
+"""Source hygiene: no import that its module never reads, no private
+module-level name of the package that the package never uses, no line
+longer than 79 characters, and a package ``__all__`` that lists exactly
+what the package imports."""
 
 import ast
 from pathlib import Path
@@ -25,16 +26,19 @@ def _imported(tree):
                 yield alias.asname or alias.name, node.lineno
 
 
+def _exported(tree):
+    """The strings of the module's __all__, in order."""
+    return [e.value for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets)
+            for e in node.value.elts]
+
+
 def _reads(tree):
     """Names loaded anywhere in the module, and the strings of __all__."""
-    out = {n.id for n in ast.walk(tree)
-           if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__"
-                for t in node.targets):
-            out |= {e.value for e in node.value.elts}
-    return out
+    return {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)} \
+        | set(_exported(tree))
 
 
 def _private(name):
@@ -79,3 +83,18 @@ def test_every_private_module_name_is_used_in_the_package():
     unused = sorted(f"{where}: {name}" for name, where in defined.items()
                     if name not in used)
     assert not unused, unused
+
+
+def test_no_line_is_longer_than_79_characters():
+    long = [f"{path.relative_to(ROOT)}:{n}: {len(line)}"
+            for path in PACKAGE + TESTS
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if len(line) > 79]
+    assert not long, long
+
+
+def test_all_lists_exactly_the_imported_names():
+    tree = _tree(ROOT / "src" / "dynkin_lab" / "__init__.py")
+    exported = _exported(tree)
+    assert len(exported) == len(set(exported))
+    assert set(exported) == {name for name, _ in _imported(tree)}

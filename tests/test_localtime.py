@@ -335,12 +335,26 @@ def test_one_worker_gives_the_pooled_run_bit_for_bit(monkeypatch):
     (lambda cfg: mean_local_times(cfg, math.nan, [0.0], [1.0], 3000), "x0"),
     (lambda cfg: mean_local_times(cfg, 0.0, iter([0.0, math.nan]), [1.0],
                                   3000), "levels"),
+    (lambda cfg: resolvent_check(cfg, math.inf, 0.0, 0.0, 3000), "alpha"),
+    (lambda cfg: corollary_test(cfg, math.inf, 0.0, 1.0, 0.5, 3000),
+     "alpha"),
+    (lambda cfg: corollary_test(cfg, 1.0, 0.0, 1.0, math.inf, 3000), "t"),
+    (lambda cfg: discounted_split_check(cfg, math.inf, 0.0, 1.0, 0.5,
+                                        3000), "alpha"),
+    (lambda cfg: discounted_split_check(cfg, 1.0, 0.0, 1.0, math.inf,
+                                        3000), "t"),
+    (lambda cfg: mean_local_times(cfg, 0.0, [0.0], [1.0, math.inf], 3000),
+     "times"),
 ], ids=["resolvent-x", "resolvent-y", "corollary-b", "discounted_split-a",
-        "mean_local_times-x0", "mean_local_times-levels"])
+        "mean_local_times-x0", "mean_local_times-levels", "resolvent-alpha",
+        "corollary-alpha", "corollary-t", "discounted_split-alpha",
+        "discounted_split-t", "mean_local_times-times"])
 def test_non_finite_start_or_level_raises_before_any_path(monkeypatch,
                                                           estimator, name):
     # a NaN level once gave an empty box: lhs = rhs = 0 and a passing
-    # corollary verdict, and a NaN start gave a path of NaNs
+    # corollary verdict, and a NaN start gave a path of NaNs; an infinite
+    # alpha gave one-step paths, u_alpha = 0 and a passing resolvent
+    # verdict, and an infinite t or horizon raised OverflowError
     def no_path(*args):
         raise AssertionError("a path was simulated")
 

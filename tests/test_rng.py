@@ -152,9 +152,9 @@ _FORK = pytest.mark.skipif(
     reason="the path pool needs the fork start method")
 
 
-def _indexed(lo, hi):
+def _indexed(i):
     # item i with the process that made it
-    return [(i, os.getpid()) for i in range(lo, hi)]
+    return i, os.getpid()
 
 
 @_FORK
@@ -231,15 +231,14 @@ def test_in_order_raises_a_worker_exception_with_its_type(monkeypatch):
     n = 4 * rng.POOL_MIN_ITEMS
     bad = n - 3   # in the last chunk, made by a worker
 
-    def task(lo, hi):
-        for i in range(lo, hi):
-            if i == bad:
-                raise _WorkerFault(f"item {i} in process {os.getpid()}")
-            yield i
+    def item(i):
+        if i == bad:
+            raise _WorkerFault(f"item {i} in process {os.getpid()}")
+        return i
 
     seen = []
     with pytest.raises(_WorkerFault, match=f"item {bad} in process") as info:
-        for i in rng._in_order(task, n):
+        for i in rng._in_order(item, n):
             seen.append(i)
     assert int(str(info.value).rsplit(" ", 1)[1]) != os.getpid()
     assert seen == list(range(len(seen))) and len(seen) < bad

@@ -7,8 +7,7 @@ import pytest
 from dynkin_lab import torus
 from dynkin_lab.kernels import window
 from dynkin_lab.levy import LevyModel, re_psi
-from dynkin_lab.torus import (StepOperator, TorusConfig, TorusState,
-                              initial_state, mode_variance,
+from dynkin_lab.torus import (StepOperator, TorusConfig, mode_variance,
                               point_variance_exact, run_moments, snapshot)
 from dynkin_lab.verify import (check_dt_invariance, check_heat_cable_modes,
                                check_hermitian_preservation,
@@ -30,28 +29,27 @@ def test_config_validation():
 
 def test_snapshot_zero_state():
     cfg = TorusConfig(16.0, 33, 0.0, 0.1)
-    st = initial_state(cfg, seed=1)
-    assert np.all(snapshot(st, cfg, [0.0, 3.0, 15.9]) == 0.0)
+    modes = np.zeros(cfg.half + 1, dtype=complex)
+    assert np.all(snapshot(modes, cfg, [0.0, 3.0, 15.9]) == 0.0)
 
 
 def test_snapshot_mode_injection_cosine():
     cfg = TorusConfig(16.0, 33, 0.0, 0.1)
     modes = np.zeros(cfg.half + 1, dtype=complex)
     modes[1] = 1.0
-    st = TorusState(modes, 0, 0, 0)
     xs = np.array([0.0, 4.0, 8.0, 12.0])
-    vals = snapshot(st, cfg, xs)
+    vals = snapshot(modes, cfg, xs)
     assert vals == pytest.approx(2 * np.cos(2 * np.pi * xs / 16.0),
                                  abs=1e-12)
 
 
 def test_snapshot_domain_error():
     cfg = TorusConfig(16.0, 33, 0.0, 0.1)
-    st = initial_state(cfg, seed=1)
+    modes = np.zeros(cfg.half + 1, dtype=complex)
     with pytest.raises(ValueError):
-        snapshot(st, cfg, [16.0])
+        snapshot(modes, cfg, [16.0])
     with pytest.raises(ValueError):
-        snapshot(st, cfg, [-0.1])
+        snapshot(modes, cfg, [-0.1])
 
 
 def test_snapshot_rejects_an_imaginary_zero_mode():
@@ -61,7 +59,7 @@ def test_snapshot_rejects_an_imaginary_zero_mode():
     modes = np.zeros(cfg.half + 1, dtype=complex)
     modes[0] = 1.0 + 1e-14j
     with pytest.raises(ValueError, match="Hermitian"):
-        snapshot(TorusState(modes, 0, 0, 0), cfg, [0.0, 4.0])
+        snapshot(modes, cfg, [0.0, 4.0])
 
 
 def test_zero_mode_variance_heat_exact():
@@ -79,11 +77,11 @@ def test_zero_mode_variance_heat_exact():
 
 def test_step_is_pure_and_reproducible():
     cfg = TorusConfig(16.0, 17, 1.0, 0.1)
-    st = initial_state(cfg, seed=5, path=2)
-    a = StepOperator(cfg, BROWNIAN).apply(st)
-    b = StepOperator(cfg, BROWNIAN).apply(st)
-    assert np.array_equal(a.modes, b.modes)
-    assert a.step_index == 1
+    modes = np.zeros(cfg.half + 1, dtype=complex)
+    a = StepOperator(cfg, BROWNIAN).apply(modes, 5, 2, 0)
+    b = StepOperator(cfg, BROWNIAN).apply(modes, 5, 2, 0)
+    assert np.array_equal(a, b)
+    assert not modes.any()   # the step leaves its input as it was
 
 
 def test_hermitian_symmetry_structural():
@@ -111,7 +109,7 @@ def test_mode_variance_matches_ensemble():
     paths, steps = 6000, 8
     acc = np.zeros(cfg.half + 1)
     for (power,) in torus._paths(StepOperator(cfg, BROWNIAN), 21, paths,
-                                 (steps,), lambda st: np.abs(st.modes) ** 2):
+                                 (steps,), lambda m: np.abs(m) ** 2):
         acc += power
     emp = acc / paths
     exact = mode_variance(cfg, BROWNIAN, steps * cfg.dt)
@@ -201,14 +199,14 @@ def test_step_stream_contract():
         0.0025529900628370595, 0.12980554980795425, 0.10020012814754833]
     assert report.stationarity_gap == 0.0030896458304386365
     op = StepOperator(cfg, model)
-    st = initial_state(cfg, seed=7, path=3)
-    for _ in range(50):
-        st = op.apply(st)
-    assert hashlib.sha256(st.modes.tobytes()).hexdigest() == (
+    modes = np.zeros(cfg.half + 1, dtype=complex)
+    for k in range(50):
+        modes = op.apply(modes, 7, 3, k)
+    assert hashlib.sha256(modes.tobytes()).hexdigest() == (
         "de994feecebc2bc2edaaf769ae3d14d476450811a05340e8f40854c827542fa7")
     # the zero mode is real: its imaginary part is +0.0, not -0.0
-    assert st.modes[0].imag == 0.0
-    assert math.copysign(1.0, st.modes[0].imag) == 1.0
+    assert modes[0].imag == 0.0
+    assert math.copysign(1.0, modes[0].imag) == 1.0
 
 
 def test_run_moments_single_step():
@@ -227,6 +225,53 @@ def test_run_moments_rejects_small_torus():
     cfg = TorusConfig(2.0, 33, 0.5, 0.1)
     with pytest.raises(ValueError, match="image-sum"):
         run_moments(cfg, BROWNIAN, 1.0, 10, [0.0], seed=1)
+
+
+def _no_step(*args):
+    raise AssertionError("a step was taken")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: TorusConfig(math.inf, 33, 2.0, 0.1),
+     "circumference must be > 0 and finite"),
+    (lambda: TorusConfig(16.0, 33, math.inf, 0.1),
+     "alpha must be >= 0 and finite"),
+    (lambda: TorusConfig(16.0, 33, 2.0, math.inf),
+     "dt must be > 0 and finite"),
+    (lambda: run_moments(TorusConfig(16.0, 33, 2.0, 0.1), BROWNIAN,
+                         math.inf, 10, [0.0]), "t_end must be > 0 and finite"),
+    (lambda: run_moments(TorusConfig(16.0, 33, 2.0, 0.1), BROWNIAN, 1.0, 10,
+                         [0.0, math.nan]), "probes must be finite"),
+], ids=["circumference", "alpha", "dt", "t-end", "probe"])
+def test_non_finite_input_raises_before_any_step(monkeypatch, build,
+                                                 message):
+    # an infinite dt once gave rows of NaN, a NaN probe NaN rows, an
+    # infinite t_end OverflowError and an infinite alpha ZeroDivisionError
+    monkeypatch.setattr(StepOperator, "apply", _no_step)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        build()
+
+
+def test_the_pass_hands_reduce_each_paths_modes():
+    # a path is its complex mode array, stepped from zero by
+    # op.apply(modes, seed, p, k); reduce sees it at every stop
+    cfg = TorusConfig(16.0, 17, 1.0, 0.1)
+    op = StepOperator(cfg, BROWNIAN)
+
+    def reduce(modes):
+        assert isinstance(modes, np.ndarray) and modes.dtype == complex
+        assert modes.shape == (cfg.half + 1,)
+        return modes.copy()
+
+    runs = list(torus._paths(op, 4, 3, (2, 5), reduce))
+    assert len(runs) == 3
+    for p, (at_2, at_5) in enumerate(runs):
+        modes, by_hand = np.zeros(cfg.half + 1, dtype=complex), []
+        for k in range(5):
+            modes = op.apply(modes, 4, p, k)
+            by_hand.append(modes)
+        assert np.array_equal(at_2, by_hand[1])
+        assert np.array_equal(at_5, by_hand[4])
 
 
 def test_run_moments_validation():
