@@ -216,7 +216,7 @@ _SECTIONS = {
         "circumference": (64.0, _POSITIVE),
         "modes": (513, _COUNT),
         "alpha": (2.0, _number(_GE0)),
-        "dt": (0.1, _POSITIVE),
+        "dt": (0.1, _POSITIVE),   # read by nothing: one step per gap
         "t_end": (6.0, _POSITIVE),
         "paths": (2000, _COUNT),
         "probes": ([0.0], _array(_number(), nonempty=True)),

@@ -83,12 +83,13 @@ def workers() -> int:
 
 
 # Runs of fewer items stay serial.  On a 2-core host a fork pool of two
-# workers costs about 10 ms to start, feed and stop, and the two take about
-# 0.6 of the serial time.  The package's path loops take 0.05 ms (a beta = 2
-# walk at dt = 1e-3 and alpha = 2) to 1.4 ms (a 513-mode torus path of 60
-# steps) a path.  At 64 paths the pool costs the first about 10 ms and saves
-# the second about 30 ms; above that the cost stays the start-up while the
-# saving grows with the run.
+# workers costs 10-20 ms to start, feed and stop, and the two take about
+# 0.6 of the serial time.  The package's path loops take 0.06 ms (a beta = 2
+# walk at dt = 1e-3 and alpha = 2; a 513-mode torus path of two steps takes
+# 0.08 ms) to 0.33 ms (a beta = 2 walk at dt = 1e-4, or a 4097-mode torus
+# path of two steps with 16 probes) a path.  At 64 paths the pool costs
+# every loop time; by 640 it saves the dearest about 40-65 ms.  The value
+# dates from 60-step torus paths (1.4 ms a path) and is kept for now.
 POOL_MIN_ITEMS = 64
 # chunks per worker: enough to even out paths of random length, few enough
 # that each result message carries many paths

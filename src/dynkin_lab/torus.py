@@ -32,17 +32,17 @@ class TorusConfig:
     circumference: float
     n_modes: int          # total mode count, odd (symmetric mode set)
     alpha: float
-    dt: float
 
     def __post_init__(self):
         if not 0 < self.circumference < math.inf:
             raise ValueError("circumference must be > 0 and finite")
+        if not isinstance(self.n_modes, (int, np.integer)):
+            raise ValueError(f"n_modes must be an integer, got "
+                             f"{self.n_modes!r}")
         if self.n_modes < 1 or self.n_modes % 2 == 0:
             raise ValueError("n_modes must be odd (symmetric mode set)")
         if not 0 <= self.alpha < math.inf:
             raise ValueError("alpha must be >= 0 and finite")
-        if not 0 < self.dt < math.inf:
-            raise ValueError("dt must be > 0 and finite")
 
     @property
     def half(self) -> int:
@@ -68,13 +68,15 @@ def _fold(cfg: TorusConfig, weights: np.ndarray, lag: float) -> float:
 
 
 class StepOperator:
-    """Precomputed one-step update for a fixed (config, model) pair."""
+    """Exact-in-law update by a step of length dt, for one (config, model)."""
 
-    def __init__(self, cfg: TorusConfig, model: LevyModel):
+    def __init__(self, cfg: TorusConfig, model: LevyModel, dt: float):
+        if not 0 < dt < math.inf:
+            raise ValueError("dt must be > 0 and finite")
         self.cfg = cfg
         rate = _rates(cfg, model)
-        self.decay = np.exp(-0.5 * rate * cfg.dt)
-        w = window(rate, cfg.dt)
+        self.decay = np.exp(-0.5 * rate * dt)
+        w = window(rate, dt)
         # complex modes: Var(Re) = Var(Im) = w / (2L); the real zero mode
         # carries the full variance w / L
         self.sigma_zero = math.sqrt(w[0] / cfg.circumference)
@@ -217,6 +219,7 @@ class MomentReport:
     rows: list[MomentRow]
     covariances: list[CovarianceRow]
     stationarity_gap: float | None      # |var(2t) - var(t)| at the probe
+    stationarity_gap_se: float | None   # paired s.e. of u(2t)^2 - u(t)^2
     stationarity_bound: float | None    # e^{-alpha t} * stationary variance
     image_correction: float | None
 
@@ -225,9 +228,9 @@ def run_moments(cfg: TorusConfig, model: LevyModel, t_end: float,
                 paths: int, probes, seed: int = 0) -> MomentReport:
     """Ensemble moments at probe points, observed at t_end/2 and t_end.
 
-    Each path evolves its own counter-based stream; the stationarity
+    Each path takes one exact step per observation gap; the stationarity
     diagnostic compares the observed point variance at the two probe times
-    against the relaxation bound exp(-alpha t) * stationary variance.
+    against the relaxation bound exp(-alpha t_end/2) * stationary variance.
     """
     if not 0 < t_end < math.inf:
         raise ValueError("t_end must be > 0 and finite")
@@ -236,13 +239,9 @@ def run_moments(cfg: TorusConfig, model: LevyModel, t_end: float,
     probes = np.atleast_1d(np.asarray(probes, dtype=float))
     if not np.isfinite(probes).all():
         raise ValueError(f"probes must be finite, got {probes}")
-    n_steps = int(round(t_end / cfg.dt))
-    if abs(n_steps * cfg.dt - t_end) > 1e-9 * t_end:
-        raise ValueError("t_end must be an integer multiple of dt")
-    half_steps = n_steps // 2
-    op = StepOperator(cfg, model)
-    stops = (half_steps, n_steps) if half_steps > 0 else (n_steps,)
-    acc = [rng.Moments(cross=stop == n_steps) for stop in stops]
+    op = StepOperator(cfg, model, 0.5 * t_end)
+    acc = [rng.Moments(), rng.Moments(cross=True)]
+    paired = rng.Moments()  # per path: u(t_end)^2 - u(t_end/2)^2, 1st probe
     image = None
     if cfg.alpha > 0:
         image = image_sum_correction(cfg, model)
@@ -250,13 +249,13 @@ def run_moments(cfg: TorusConfig, model: LevyModel, t_end: float,
             raise ValueError(
                 f"torus too small: image-sum correction {image:.3%} "
                 "exceeds 1% of the kernel at the origin")
-    for values in _paths(op, seed, paths, stops, _probes(cfg, probes)):
+    for values in _paths(op, seed, paths, (1, 2), _probes(cfg, probes)):
         for moments, value in zip(acc, values):
             moments.add(value)
+        paired.add(values[1][0] ** 2 - values[0][0] ** 2)
     rows = []
     probe_var = []      # the variance at the first probe, per stop
-    for stop, moments in zip(stops, acc):
-        t = stop * cfg.dt
+    for t, moments in zip((0.5 * t_end, t_end), acc):
         mean, var = moments.mean_var()
         exact = point_variance_exact(cfg, model, t)
         se = rng.second_moment_se(var, paths)
@@ -264,19 +263,18 @@ def run_moments(cfg: TorusConfig, model: LevyModel, t_end: float,
         for j, xj in enumerate(probes):
             rows.append(MomentRow(t, float(xj), float(mean[j]),
                                   float(var[j]), exact, float(se[j]), paths))
-    t_end_eff = n_steps * cfg.dt
-    cov = acc[-1].cross / paths - np.outer(mean, mean)   # mean at t_end
+    cov = acc[1].cross / paths - np.outer(mean, mean)   # mean at t_end
     covs = []
     for i in range(probes.size):
         for j in range(i + 1, probes.size):
             lag = abs(float(probes[j] - probes[i]))
             covs.append(CovarianceRow(
-                t_end_eff, float(probes[i]), float(probes[j]),
-                float(cov[i, j]),
-                point_covariance_exact(cfg, model, t_end_eff, lag)))
-    gap = bound = None
-    if cfg.alpha > 0 and len(stops) > 1:
-        gap = abs(probe_var[-1] - probe_var[0])
-        bound = (math.exp(-cfg.alpha * half_steps * cfg.dt)
+                t_end, float(probes[i]), float(probes[j]), float(cov[i, j]),
+                point_covariance_exact(cfg, model, t_end, lag)))
+    gap = gap_se = bound = None
+    if cfg.alpha > 0:
+        gap = abs(probe_var[1] - probe_var[0])
+        gap_se = paired.mean_se()[1]
+        bound = (math.exp(-cfg.alpha * 0.5 * t_end)
                  * stationary_point_variance(cfg, model))
-    return MomentReport(rows, covs, gap, bound, image)
+    return MomentReport(rows, covs, gap, gap_se, bound, image)

@@ -311,11 +311,11 @@ def check_dt_invariance(model, seed, scale, tol_scale):
     # exact value, and against dt = 0.0125 (seed); s.e. from the exact value
     paths = max(500, int(2000 * scale))
     var = {}
+    cfg = torus.TorusConfig(16.0, 65, 2.0)
     for dt, s in ((0.1, seed + 1), (0.0125, seed)):
-        cfg = torus.TorusConfig(16.0, 65, 2.0, dt)
         acc = rng.Moments()   # per path: (sum u, sum u^2) over the probes
         for (u,) in torus._paths(
-                torus.StepOperator(cfg, model), s, paths,
+                torus.StepOperator(cfg, model, dt), s, paths,
                 (int(round(1.0 / dt)),),
                 lambda m: torus.snapshot(m, cfg, [0.0, 5.0, 10.0])):
             acc.add(np.array([u.sum(), (u * u).sum()]))
@@ -334,8 +334,8 @@ def check_hermitian_preservation(model, seed, scale, tol_scale):
     # a fault in the step's decay or noise scale makes it nonzero within
     # two steps, so 1000 steps suffice
     steps = 1000
-    cfg = torus.TorusConfig(8.0, 5, 1.0, 0.01)
-    [(u0,)] = torus._paths(torus.StepOperator(cfg, model), seed, 1,
+    cfg = torus.TorusConfig(8.0, 5, 1.0)
+    [(u0,)] = torus._paths(torus.StepOperator(cfg, model, 0.01), seed, 1,
                            (steps,), lambda m: m[0])
     gap = 2.0 * abs(u0.imag)
     real_zero = math.copysign(1.0, u0.imag) == 1.0
@@ -346,13 +346,12 @@ def check_hermitian_preservation(model, seed, scale, tol_scale):
 
 
 def check_stationary_spectrum(model, seed, scale, tol_scale):
-    cfg = torus.TorusConfig(16.0, 33, 2.0, 0.05)
+    cfg = torus.TorusConfig(16.0, 33, 2.0)
     paths = max(500, int(2000 * scale))
     t_end = 4.0
     acc = np.zeros(cfg.half + 1)
-    for (power,) in torus._paths(torus.StepOperator(cfg, model), seed, paths,
-                                 (int(round(t_end / cfg.dt)),),
-                                 lambda m: np.abs(m) ** 2):
+    for (power,) in torus._paths(torus.StepOperator(cfg, model, t_end), seed,
+                                 paths, (1,), lambda m: np.abs(m) ** 2):
         acc += power
     emp = acc / paths
     rate = torus._rates(cfg, model)
@@ -365,9 +364,9 @@ def check_stationary_spectrum(model, seed, scale, tol_scale):
 
 
 def check_heat_cable_modes(model, seed, scale, tol_scale):
-    heat = torus.TorusConfig(16.0, 129, 0.0, 0.05)
+    heat = torus.TorusConfig(16.0, 129, 0.0)
     for alpha in (1.5, 2.0):
-        cable = torus.TorusConfig(16.0, 129, alpha, 0.05)
+        cable = torus.TorusConfig(16.0, 129, alpha)
         for t in (0.1, 0.25, 1.0, 4.0, 10.0):
             vu = torus.mode_variance(heat, model, t)
             vv = torus.mode_variance(cable, model, t)

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from dynkin_lab import fields, torus
+from dynkin_lab import fields, rng, torus
 from dynkin_lab.fields import (SpectralGrid, scaling_exponent_ensemble,
                                spectral_density)
 from dynkin_lab.kernels import u_alpha
@@ -141,24 +141,27 @@ def test_c09_increment_scaling_exponents():
 
 def test_c10_torus_dynamic_check():
     with _report(10, "torus cable dynamics: variance and dt-invariance"):
-        cfg = torus.TorusConfig(64.0, 4097, 2.0, 0.1)
+        cfg = torus.TorusConfig(64.0, 4097, 2.0)
         probes = np.arange(16) * 4.0
         report = torus.run_moments(cfg, BROWNIAN, 6.0, 10_000, probes,
                                    seed=1010)
         var = float(np.mean([r.var for r in report.rows if r.t == 6.0]))
         assert abs(var - 0.25) <= 0.02 * 0.25
         assert report.image_correction <= 0.01
-        # dt-invariance in law between dt = 0.1 and 0.0125
-        probes_small = np.array([0.0, 16.0, 32.0, 48.0])
+        # dt-invariance in law between dt = 0.1 and 0.0125 (15 and 120
+        # steps to t = 1.5), the evidence that run_moments' one step per
+        # observation gap is exact
+        c = torus.TorusConfig(64.0, 513, 2.0)
+        at_probes = torus._probes(c, np.array([0.0, 16.0, 32.0, 48.0]))
         vs = {}
         for k, dt in enumerate((0.1, 0.0125)):
-            c = torus.TorusConfig(64.0, 513, 2.0, dt)
-            rep = torus.run_moments(c, BROWNIAN, 1.5, 2500, probes_small,
-                                    seed=1020 + k)
-            vs[dt] = float(np.mean([r.var for r in rep.rows
-                                    if r.t == 1.5]))
-        exact = torus.point_variance_exact(
-            torus.TorusConfig(64.0, 513, 2.0, 0.1), BROWNIAN, 1.5)
+            acc = rng.Moments()
+            for (u,) in torus._paths(torus.StepOperator(c, BROWNIAN, dt),
+                                     1020 + k, 2500, (round(1.5 / dt),),
+                                     at_probes):
+                acc.add(u)
+            vs[dt] = float(np.mean(acc.mean_var()[1]))
+        exact = torus.point_variance_exact(c, BROWNIAN, 1.5)
         se_each = exact * math.sqrt(2.0 / 2500) / 2.0  # 4 far-apart probes
         assert abs(vs[0.1] - vs[0.0125]) <= 3 * math.sqrt(2) * se_each
 

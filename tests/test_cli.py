@@ -311,6 +311,23 @@ def test_cli_spde_smoke(tmp_path, capsys):
     assert lines[1] == "t,x,mean,var,exact_var,stderr,paths"
 
 
+def test_cli_spde_dt_is_inert(tmp_path, capsys):
+    # the torus steps once per observation gap, so spde.dt is read by
+    # nothing: two runs that differ only in it write the same bytes
+    outputs = []
+    for dt in (0.1, 0.05):
+        out = tmp_path / f"dt{dt}"
+        payload = {"model": {"kind": "brownian", "kappa": 1.0},
+                   "out_dir": str(out),
+                   "spde": {"circumference": 16.0, "modes": 17,
+                            "alpha": 2.0, "dt": dt, "t_end": 1.0,
+                            "paths": 20, "probes": [0.0, 4.0]}}
+        assert main(["spde", "--config", write_cfg(tmp_path, payload)]) == 0
+        outputs.append([(out / name).read_bytes() for name in (
+            "moments.csv", "covariances.csv", "spde_summary.txt")])
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_localtime_resolvent_smoke(tmp_path, capsys):
     payload = {"model": {"kind": "brownian", "kappa": 1.0},
                "out_dir": str(tmp_path / "out"),
@@ -456,17 +473,17 @@ _OUTPUT_DIGESTS = {
     ("synth-derivative", "synth_summary.txt"):
         "e470689a85777cc8728aabffae295e129c25dc25159fe8c66a842c094806b1d7",
     ("spde", "covariances.csv"):
-        "40ca4cdd8b911dc345736ad289b5d637835cc03e232ff5558931fd6d196809cb",
+        "ad7682ae45a2c7474bd9e1aae2e7643d3c4eb6aba1c9a05bab9ab1f332f6a97d",
     ("spde", "moments.csv"):
-        "7b449734d7c79b18585234f596bc3be6739ede2f9f76446e49b07da408942035",
+        "108b103e009c0de3c6958e681ee2aa1d26618c89166527c6f995164b2ba476d4",
     ("spde", "spde_summary.txt"):
-        "7aeaaefcac6bb7981588f38038aada9f35886befaa7ac79db8e065a151cf4057",
+        "9e02ff4bb825db4d2249a730c49a9a2f9cb5e28f55e86a3f925ab41e81c5d589",
     ("spde-heat", "covariances.csv"):
-        "92cd76c60ad4aad649e1bc0b6e321feba9c60f689d59e3cb0b5f1137a7bd0b7d",
+        "c321391c64390b7810d9e8ff4970baf9d2c41e26d2137329e643725a404e7d14",
     ("spde-heat", "moments.csv"):
-        "ec64eb23efb8ec11a915beeb4e11fe379e26653abfbc9199bbf493cd9c56ca2c",
+        "b228dc9dac8d18ff15b88adae6f36094b6021580cbc4bc7d3d9167e41befbc92",
     ("spde-heat", "spde_summary.txt"):
-        "e64099c61becf19abb9ceb35f91148ddb128800ea13d5c422bf2db4368f08add",
+        "cc3b95c7045bda2ac2c0d6e6f1460c4fd2616f54d85535e47b6ed46ff23235ec",
     ("resolvent", "localtime.csv"):
         "27c5da34c8dc802ff6c4b86d6c89feda16d0436f2df3eedab1f56a552a857cda",
     ("resolvent", "localtime_summary.txt"):
@@ -480,9 +497,9 @@ _OUTPUT_DIGESTS = {
     ("verify", "verify_summary.txt"):
         "c1e624d78ce4ad91f2550230c84f4246bbd4fc135d9905a302ce40530a51e4ec",
     ("verify-spde", "verify.csv"):
-        "b300eb02d9fcd30972db0d9803862e7f11ed4b646cfa9a4e23ea2315b5452e24",
+        "3604125d4c016badd701730b5cc17a0663d47b71b72f5dc599fef638c3093e4c",
     ("verify-spde", "verify_summary.txt"):
-        "e45bb3d43db69ae053f2e116648adffc664ecf0372a6a66318d7c774a704ef57",
+        "5e653600be279f1c3f0351aa8e4a72c220b425511e3b8974a0e14862684e1758",
     ("verify-localtime", "verify.csv"):
         "9b182ba1b7f693b05843ab033144c6b44b3b6fdc50f9b9e4fdd989239b00369a",
     ("verify-localtime", "verify_summary.txt"):

@@ -19,7 +19,7 @@ from dynkin_lab.localtime import (PathConfig, corollary_test,
                                   mean_local_times, resolvent_check,
                                   stable_increment)
 from dynkin_lab.quadrature import adaptive
-from dynkin_lab.torus import TorusConfig, run_moments
+from dynkin_lab.torus import StepOperator, TorusConfig, run_moments
 from dynkin_lab.verify import check_evenness, check_stable_consistency
 
 _TABLE_Z = np.geomspace(0.01, 10.0, 40)
@@ -51,9 +51,10 @@ _KHIN = LevyModel.khintchine(0.0, LevyMeasure.power_law(1.0, 1.2))
     (lambda: PathConfig(1.5, _NAN, 1e-3), "c must be > 0"),
     (lambda: PathConfig(1.5, 1.0, _NAN), "dt must be > 0"),
     (lambda: PathConfig(1.5, 1.0, 1e-3, eps=_NAN), "eps must be > 0"),
-    (lambda: TorusConfig(_NAN, 33, 1.0, 0.1), "circumference must be > 0"),
-    (lambda: TorusConfig(16.0, 33, _NAN, 0.1), "alpha must be >= 0"),
-    (lambda: TorusConfig(16.0, 33, 1.0, _NAN), "dt must be > 0"),
+    (lambda: TorusConfig(_NAN, 33, 1.0), "circumference must be > 0"),
+    (lambda: TorusConfig(16.0, 33, _NAN), "alpha must be >= 0"),
+    (lambda: StepOperator(TorusConfig(16.0, 33, 1.0), _BROWNIAN, _NAN),
+     "dt must be > 0"),
     (lambda: SpectralGrid(_NAN, 16), "cutoff must be > 0"),
     (lambda: variance_profile(_BROWNIAN, _NAN, 1.0), "alpha must be > 0"),
     (lambda: variance_profile(_BROWNIAN, 1.0, _NAN), "t must be > 0"),
@@ -92,7 +93,7 @@ _KHIN = LevyModel.khintchine(0.0, LevyMeasure.power_law(1.0, 1.2))
      "horizons must be > 0"),
     (lambda: mean_local_times(_PATH, 0.0, [0.0], [0.1, _NAN], 10),
      "horizons must be > 0"),
-    (lambda: run_moments(TorusConfig(16.0, 33, 1.0, 0.1), _BROWNIAN, _NAN,
+    (lambda: run_moments(TorusConfig(16.0, 33, 1.0), _BROWNIAN, _NAN,
                          10, [0.0]), "t_end must be > 0"),
     (lambda: condition_report(_BROWNIAN, _NAN), "alpha must be > 0"),
     (lambda: feller_functions(LevyModel.stable(1.5, 1.0), _NAN),

@@ -310,7 +310,7 @@ def test_one_worker_gives_the_pooled_run_bit_for_bit(monkeypatch):
     # default)
     paths = rng.POOL_MIN_ITEMS + 100
     cfg = PathConfig(1.5, 0.5, 1e-3, seed=41)
-    tcfg = torus.TorusConfig(16.0, 33, 2.0, 0.1)
+    tcfg = torus.TorusConfig(16.0, 33, 2.0)
     runs = [
         lambda: resolvent_check(cfg, 1.0, 0.0, 0.2, paths),
         lambda: corollary_test(cfg, 1.0, 0.0, 0.5, 0.7, paths,

@@ -72,3 +72,30 @@ def test_benchmark_path_counters():
     steps = sum(max(1, int(math.ceil(s / 1e-3))) for s in clocks)
     assert counts == {"localtime.paths": 70,
                       "localtime.path_steps": steps + 20 * 1000}
+
+
+_TORUS_COUNTERS = """
+import json
+import tracing
+from dynkin_lab import torus
+from dynkin_lab.levy import LevyModel
+
+tracer = tracing.Tracer()
+tracer.install()
+cfg = torus.TorusConfig(16.0, 33, 2.0)
+torus.run_moments(cfg, LevyModel.brownian(1.0), 2.0, 20, [0.0, 4.0], seed=3)
+metrics = tracer.metrics()
+print(json.dumps({k: metrics[k] for k in (
+    "torus.step_apply.calls", "rng.variates.torus",
+    "torus.step_operator_init.calls")}))
+"""
+
+
+def test_benchmark_torus_counters():
+    # the montecarlo workload's torus counts: a serial run of 20 paths
+    # takes two steps a path, each drawing 2 half + 2 normals (half = 16),
+    # which the tracer reads from the step operator's .cfg
+    counts = json.loads(_run(_TORUS_COUNTERS))
+    assert counts == {"torus.step_apply.calls": 40,
+                      "rng.variates.torus": 40 * (2 * 16 + 2),
+                      "torus.step_operator_init.calls": 1}
