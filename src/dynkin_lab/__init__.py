@@ -22,8 +22,8 @@ from .localtime import (BandwidthError, CorollaryResult,
                         discounted_split_check, local_time, resolvent_check,
                         stable_increment)
 from .quadrature import NonConvergenceError
-from .torus import (MomentReport, TorusConfig, mode_variance,
-                    point_variance_exact, run_moments, snapshot)
+from .torus import (MomentReport, TorusConfig, mode_variance, run_moments,
+                    snapshot)
 
 __version__ = "0.1.0"
 
@@ -36,9 +36,8 @@ __all__ = [
     "averaged_exponent", "condition_report", "corollary_test",
     "delta_difference", "discounted_split_check", "ensemble_values",
     "feller_functions", "kernel_value", "local_time", "mode_variance",
-    "parse_config", "pbar_density", "point_variance_exact",
-    "quadratic_form", "re_psi", "resolvent_check", "run_moments",
-    "sample_heat_field", "sample_joint", "snapshot", "spectral_density",
-    "stable_increment", "stable_jump_coefficient", "u_alpha",
-    "variance_profile",
+    "parse_config", "pbar_density", "quadratic_form", "re_psi",
+    "resolvent_check", "run_moments", "sample_heat_field", "sample_joint",
+    "snapshot", "spectral_density", "stable_increment",
+    "stable_jump_coefficient", "u_alpha", "variance_profile",
 ]

@@ -162,12 +162,6 @@ def mode_variance(cfg: TorusConfig, model: LevyModel, t: float) -> np.ndarray:
     return window(_rates(cfg, model), t) / cfg.circumference
 
 
-def point_variance_exact(cfg: TorusConfig, model: LevyModel,
-                         t: float) -> float:
-    """(1/L) sum_n (1 - exp(-(2 RePsi(k_n) + alpha) t))/(2 RePsi + alpha)."""
-    return _fold(cfg, mode_variance(cfg, model, t), 0.0)
-
-
 def stationary_point_variance(cfg: TorusConfig, model: LevyModel) -> float:
     """(1/L) sum_n 1/(alpha + 2 RePsi(k_n)): the torus stationary variance."""
     if cfg.alpha <= 0:
@@ -257,7 +251,7 @@ def run_moments(cfg: TorusConfig, model: LevyModel, t_end: float,
     probe_var = []      # the variance at the first probe, per stop
     for t, moments in zip((0.5 * t_end, t_end), acc):
         mean, var = moments.mean_var()
-        exact = point_variance_exact(cfg, model, t)
+        exact = point_covariance_exact(cfg, model, t, 0.0)
         se = rng.second_moment_se(var, paths)
         probe_var.append(float(var[0]))
         for j, xj in enumerate(probes):

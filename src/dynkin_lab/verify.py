@@ -321,7 +321,7 @@ def check_dt_invariance(model, seed, scale, tol_scale):
             acc.add(np.array([u.sum(), (u * u).sum()]))
         mean, mean_sq = acc.total / (3 * acc.n)
         var[dt] = mean_sq - mean * mean
-    exact = torus.point_variance_exact(cfg, model, 1.0)  # free of dt
+    exact = torus.point_covariance_exact(cfg, model, 1.0, 0.0)  # free of dt
     se = rng.second_moment_se(exact, paths)
     worst = min(3 * se - abs(var[0.1] - exact),
                 3 * math.sqrt(2) * se - abs(var[0.1] - var[0.0125]))

@@ -161,7 +161,7 @@ def test_c10_torus_dynamic_check():
                                      at_probes):
                 acc.add(u)
             vs[dt] = float(np.mean(acc.mean_var()[1]))
-        exact = torus.point_variance_exact(c, BROWNIAN, 1.5)
+        exact = torus.point_covariance_exact(c, BROWNIAN, 1.5, 0.0)
         se_each = exact * math.sqrt(2.0 / 2500) / 2.0  # 4 far-apart probes
         assert abs(vs[0.1] - vs[0.0125]) <= 3 * math.sqrt(2) * se_each
 

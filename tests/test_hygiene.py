@@ -98,3 +98,13 @@ def test_all_lists_exactly_the_imported_names():
     exported = _exported(tree)
     assert len(exported) == len(set(exported))
     assert set(exported) == {name for name, _ in _imported(tree)}
+
+
+def test_only_quadrature_reads_the_ratio_thresholds():
+    # the shell walk's thresholds decide every existence verdict; a module
+    # that reads them is writing a second copy of that rule
+    readers = [f"{path.name}: {name}" for path in PACKAGE
+               if path.name != "quadrature.py"
+               for name in ("RATIO_CAP", "RATIO_DIVERGED")
+               if name in _referenced(_tree(path))]
+    assert not readers, readers

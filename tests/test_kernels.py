@@ -49,20 +49,43 @@ def test_u_alpha_flags_existence_failure():
         u_alpha(LevyModel.stable(1.0, 1.0), 1.0, 0.0)
 
 
-def test_envelope_decay_guard_rejects_before_the_transform():
-    # off the origin the guard reads the tail first: stable(1, 1) has a
-    # potential envelope whose octave ratios tend to 1, and a finite jump
-    # measure bounds ReΨ, so the pbar envelope tends to a positive constant
-    with pytest.raises(NonConvergenceError,
-                       match="non-summable tail") as info:
+def test_off_origin_kernels_reject_divergent_tails_before_the_transform():
+    # off the origin the existence walk reads the tail first: stable(1, 1)
+    # has a potential envelope whose octave ratios tend to 1, and a finite
+    # jump measure bounds ReΨ, so the pbar envelope tends to a positive
+    # constant and its octave masses double
+    with pytest.raises(NonConvergenceError, match="does not decay") as info:
         u_alpha(LevyModel.stable(1.0, 1.0), 1.0, 0.5)
     assert info.value.diverged
     bounded = LevyModel.khintchine(
         0.0, LevyMeasure.power_law(1.0, 1.5, z_min=1.0, z_max=4.0))
-    with pytest.raises(NonConvergenceError,
-                       match="does not vanish at infinity") as info:
+    with pytest.raises(NonConvergenceError, match="does not decay") as info:
         pbar_density(bounded, 1.0, 0.5)
     assert info.value.diverged
+
+
+def _verdict(kernel):
+    try:
+        kernel()
+    except NonConvergenceError:
+        return "raises"
+    return "returns"
+
+
+def test_existence_verdict_does_not_depend_on_the_lag():
+    # nu(z) = z^-2 log^3(1/z) on (0, 1/2): ReΨ grows like xi log^3 xi, and
+    # the existence integral converges too slowly for a geometric tail.
+    # Both lags must reach the same verdict, whichever it is.
+    slow = LevyModel.khintchine(0.0, LevyMeasure.from_density(
+        lambda z: np.log(1.0 / z) ** 3 / z ** 2, 0.0, 0.5))
+    assert _verdict(lambda: u_alpha(slow, 1.0, 0.0)) == \
+        _verdict(lambda: u_alpha(slow, 1.0, 0.5))
+    for model in (LevyModel.stable(1.0, 1.0), BROWNIAN):
+        for kind in ("potential", "pbar", "varV", "varS", "varU"):
+            at = [_verdict(lambda r=r: kernel_value(model, kind, r,
+                                                    alpha=1.0, t=1.0))
+                  for r in (0.0, 0.5)]
+            assert at[0] == at[1], (model, kind, at)
 
 
 def test_u_alpha_validates_alpha():

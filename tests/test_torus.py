@@ -8,7 +8,7 @@ from dynkin_lab import rng, torus
 from dynkin_lab.kernels import window
 from dynkin_lab.levy import LevyModel, re_psi
 from dynkin_lab.torus import (StepOperator, TorusConfig, mode_variance,
-                              point_variance_exact, run_moments, snapshot)
+                              point_covariance_exact, run_moments, snapshot)
 from dynkin_lab.verify import (check_dt_invariance, check_heat_cable_modes,
                                check_hermitian_preservation,
                                check_stationary_spectrum)
@@ -141,7 +141,7 @@ def test_stationary_mode_spectrum_ensemble():
 def test_stationary_spectrum_limit():
     cfg = TorusConfig(16.0, 33, 2.0)
     exact = torus.stationary_point_variance(cfg, BROWNIAN)
-    assert point_variance_exact(cfg, BROWNIAN, 50.0) == \
+    assert point_covariance_exact(cfg, BROWNIAN, 50.0, 0.0) == \
         pytest.approx(exact, rel=1e-10)
 
 
